@@ -1,6 +1,6 @@
 """Run one phiplane benchmark workload and print its metrics as JSON.
 
-    python3 perfbench/run.py --workload tower --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload geometry --seed 1 --seconds 36 --trace 0
 
 Run from the root of a phiplane checkout; the package is imported from
 its `src/` directory.  Set-up is timed first: with --trace 0, fresh

@@ -18,7 +18,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from run import load_modules  # noqa: E402
-from workloads import CliMix, Collapse, Orbits, Tower  # noqa: E402
+from workloads import CliMix, Collapse, Geometry, Orbits, Tower  # noqa: E402
 
 
 def small(cls, **sizes):
@@ -65,6 +65,22 @@ def collapse_cases(mods):
     yield "collapse: two cell words exchanged", w, inp, (tower, bad), None
     cut = chains[:2] + [chains[2][:-1] + [chains[2][-1][1:]]]
     yield "collapse: a cell dropped", w, inp, (tower, cut), None
+
+
+def geometry_cases(mods):
+    w = Geometry()
+    w.parts = (small(Tower, levels=3, fixed_probe_ks=range(1, 3),
+                     seeded_probes=2),
+               small(Collapse, levels=2, points_per_level=1))
+    inp = w.prepare(1, mods)
+    (tower, checks, answers), chain_out = w.body(inp, mods)
+    yield "geometry: true outputs", w, inp, ((tower, checks, answers),
+                                             chain_out), 0
+    yield "geometry: a tower probe answers disjoint", w, inp, \
+        ((tower, checks, [True] + answers[1:]), chain_out), 1
+    off = [inp[0], dict(inp[1], horizons=[m + 1 for m in inp[1]["horizons"]])]
+    yield "geometry: M(N) off by one in the collapse part", w, off, \
+        w.body(off, mods), 2
 
 
 def orbits_cases(mods):
@@ -137,7 +153,8 @@ def cli_cases(mods):
 def main() -> int:
     mods = load_modules()
     bad = 0
-    for cases in (tower_cases, collapse_cases, orbits_cases, cli_cases):
+    for cases in (tower_cases, collapse_cases, geometry_cases, orbits_cases,
+                  cli_cases):
         for name, w, inp, out, want in cases(mods):
             fails = w.check(inp, out, mods)
             got = len(fails)

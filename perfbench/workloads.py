@@ -1,4 +1,4 @@
-"""The four workloads: inputs from a seed, the timed body, and the checks.
+"""The three workloads: inputs from a seed, the timed body, and the checks.
 
 A workload's `body` is one round: it calls phiplane's public API on the
 prepared inputs and returns the outputs.  `check` compares one round's
@@ -490,5 +490,32 @@ class CliMix:
         return fails
 
 
-WORKLOADS = {"tower": Tower(), "collapse": Collapse(), "orbits": Orbits(),
-             "cli_mix": CliMix()}
+# -- geometry -----------------------------------------------------------
+
+class Geometry:
+    """The tower and collapse parts, one after the other in every round.
+
+    They share field and geometry but use geometry differently: a few
+    subtractions of regions with hundreds of strips (tower) against many
+    intersections of small regions (collapse).  The per-layer metrics
+    geometry.subtract_s and geometry.intersect_s keep the two apart.
+    """
+
+    def __init__(self) -> None:
+        self.parts = (Tower(), Collapse())
+
+    def prepare(self, seed: int, mods) -> list:
+        return [p.prepare(seed, mods) for p in self.parts]
+
+    def body(self, inp: list, mods) -> tuple:
+        return tuple(p.body(i, mods) for p, i in zip(self.parts, inp))
+
+    def ops_per_round(self, inp: list) -> int:
+        return sum(p.ops_per_round(i) for p, i in zip(self.parts, inp))
+
+    def check(self, inp: list, out, mods) -> list[Failure]:
+        return [f for p, i, o in zip(self.parts, inp, out)
+                for f in p.check(i, o, mods)]
+
+
+WORKLOADS = {"geometry": Geometry(), "orbits": Orbits(), "cli_mix": CliMix()}
