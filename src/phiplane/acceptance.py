@@ -21,8 +21,8 @@ from . import birkhoff, scenarios, words
 refine = importlib.import_module(f"{__package__}.refine")
 from .exchange import (PAPER_STATED_Z, PieceExchange, build_base_exchange,
                        build_translation_exchange, check_projection_witness,
-                       exchange_tower, projection_witness,
-                       renormalization_checks, sample_points)
+                       projection_witness, renormalization_checks,
+                       renormalize, sample_points)
 from .fastorbit import BaseExchangeOrbit
 from .field import PHI, QPhi, ZERO, phi_power
 
@@ -34,8 +34,11 @@ class _Cache:
         self._tower: list[PieceExchange] = []
 
     def tower(self, levels: int) -> list[PieceExchange]:
-        if len(self._tower) < levels:
-            self._tower = exchange_tower(levels)
+        """Levels 1..levels, extending the cached tower as needed."""
+        if not self._tower:
+            self._tower.append(build_base_exchange())
+        while len(self._tower) < levels:
+            self._tower.append(renormalize(self._tower[-1]))
         return self._tower[:levels]
 
 

@@ -9,11 +9,9 @@ evaluation provides an independent cross-check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import lcm
 
-from .field import HALF, QPhi, ZERO, phi_power
-from .fastorbit import sgn_pair
+from .field import HALF, QPhi, ZERO, phi_power, sgn_pair
 
 STEP = phi_power(-2)                 # 1/phi**2 = 2 - phi
 DRIFT = phi_power(-3) * HALF         # 1/(2 phi**3)
@@ -70,9 +68,9 @@ def record_maxima(x0: QPhi, N: int) -> list[SumRecord]:
     if N < 0:
         raise ValueError("N must be >= 0")
     _, f = x0.floor_frac()
-    d = lcm(2, f.a.denominator, f.b.denominator)
-    fa = int(f.a * d)
-    fb = int(f.b * d)
+    fa, fb, fd = f.scaled()
+    d = lcm(2, fd)
+    fa, fb = fa * (d // fd), fb * (d // fd)
     half = d // 2
     step_a, step_b = 2 * d, -d
     sa, sb = fa - half, fb          # running sum, scaled by d
@@ -80,7 +78,7 @@ def record_maxima(x0: QPhi, N: int) -> list[SumRecord]:
     out: list[SumRecord] = []
 
     def push(n: int, va: int, vb: int) -> None:
-        out.append(SumRecord(n, QPhi(Fraction(va, d), Fraction(vb, d)), True))
+        out.append(SumRecord(n, QPhi.from_scaled(va, vb, d), True))
 
     for n in range(N + 1):
         if n > 0:

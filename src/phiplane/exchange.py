@@ -10,17 +10,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, NamedTuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Literal, NamedTuple
 
-from .field import QPhi, phi_power
+from .field import HALF, ONE, ZERO, QPhi, phi_power
 from .geometry import (GeometryError, QuadBound, Region, Strip,
                        area_disjoint, is_subset, merge_strips,
                        strips_from_constraints)
 from .words import Word
 
-HALF = QPhi(Fraction(1, 2))
-ONE = QPhi(1)
-ZERO = QPhi(0)
+if TYPE_CHECKING:
+    from .fastorbit import CompiledExchange
 
 # T_phi(x, y) = (x + INV_PHI2, y + x + T_PHI_DRIFT)
 INV_PHI2 = phi_power(-2)                    # 1/phi**2 = 2 - phi
@@ -125,9 +125,14 @@ class PieceExchange:
         t = self.base.apply(p)
         return label, Point(t.x - n, t.y - m)
 
+    @cached_property
+    def compiled(self) -> "CompiledExchange":
+        """The integer orbit stepper, compiled on first use."""
+        from .fastorbit import CompiledExchange
+        return CompiledExchange(self)
+
     def code_orbit(self, p: Point, n: int) -> Word:
-        from .fastorbit import compile_exchange
-        return compile_exchange(self).code_orbit(p, n)
+        return self.compiled.code_orbit(p, n)
 
     def leading_coefficient(self) -> QPhi:
         return self.pieces[0].region.leading_coefficient()

@@ -2,60 +2,30 @@
 
 Orbit points and strip bounds are rescaled by a common denominator so
 every membership test becomes a sign evaluation of an integer pair
-(A, B) standing for A + B*phi.  Signs are decided through a ~250-bit
-rational bracket of phi, with an exact quadratic fallback, so no step
-ever depends on floating point.
+(A, B) standing for A + B*phi, decided by the field's exact
+`sgn_pair`, so no step ever depends on floating point.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .exchange import (BoundaryError, ExchangeError, PieceExchange, Point,
                        base_quadratics, build_base_exchange)
-from .field import QPhi
+from .field import QPhi, sgn_pair
 from .words import Word
-
-# consecutive Fibonacci quotients bracketing phi
-_FA, _FB = 1, 1
-for _ in range(360):
-    _FA, _FB = _FA + _FB, _FA
-_PLN, _PLD = _FA, _FB            # F_{n+1}/F_n
-_PHN, _PHD = _FA + _FB, _FA      # F_{n+2}/F_{n+1}
-if _PLN * _PLN > _PLN * _PLD + _PLD * _PLD:  # ensure lower < phi < upper
-    _PLN, _PLD, _PHN, _PHD = _PHN, _PHD, _PLN, _PLD
-
-
-def sgn_pair(A: int, B: int) -> int:
-    """Exact sign of A + B*phi."""
-    if B == 0:
-        return (A > 0) - (A < 0)
-    lo = A * _PLD + B * _PLN if B > 0 else A * _PHD + B * _PHN
-    if lo > 0:
-        return 1
-    hi = A * _PHD + B * _PHN if B > 0 else A * _PLD + B * _PLN
-    if hi < 0:
-        return -1
-    # bracket inconclusive: decide with the minimal polynomial
-    if B > 0:
-        if A > 0:
-            return 1
-        return 1 if A * A + A * B - B * B < 0 else -1
-    if A < 0:
-        return -1
-    return -1 if A * A + A * B - B * B < 0 else 1
 
 
 def _denoms(x: QPhi) -> int:
-    return lcm(x.a.denominator, x.b.denominator)
+    return x.scaled()[2]
 
 
 def _pair(x: QPhi, scale: int) -> tuple[int, int]:
-    a = x.a * scale
-    b = x.b * scale
-    assert a.denominator == 1 and b.denominator == 1
-    return a.numerator, b.numerator
+    """x * scale as an integer pair; scale must be a multiple of x's D."""
+    A, B, D = x.scaled()
+    k, r = divmod(scale, D)
+    assert r == 0
+    return A * k, B * k
 
 
 class CompiledExchange:
@@ -90,10 +60,10 @@ class CompiledExchange:
                 lo = _pair(s.x_lo, d)
                 hi = _pair(s.x_hi, d)
                 # predicate scale d**3: c2*(X*X) has d*d2, c1*X needs d2, c0 needs d3
-                lw = (_pair(s.lower.c2, d), _pair(s.lower.c1 * d2, 1),
-                      _pair(s.lower.c0 * d3, 1), s.lower_closed)
-                up = (_pair(s.upper.c2, d), _pair(s.upper.c1 * d2, 1),
-                      _pair(s.upper.c0 * d3, 1), s.upper_closed)
+                lw = (_pair(s.lower.c2, d), _pair(s.lower.c1, d2),
+                      _pair(s.lower.c0, d3), s.lower_closed)
+                up = (_pair(s.upper.c2, d), _pair(s.upper.c1, d2),
+                      _pair(s.upper.c0, d3), s.upper_closed)
                 strips.append((lo, hi, s.lo_closed, s.hi_closed, lw, up))
             pieces.append((piece.label, piece.shift, strips))
         base = self.exchange.base
@@ -164,8 +134,7 @@ class CompiledExchange:
 
     def _fail(self, xa, xb, ya, yb, d):
         # reconstruct the exact point for a classified error
-        q = Point(QPhi(Fraction(xa, d), Fraction(xb, d)),
-                  QPhi(Fraction(ya, d), Fraction(yb, d)))
+        q = Point(QPhi.from_scaled(xa, xb, d), QPhi.from_scaled(ya, yb, d))
         self.exchange.locate(q)  # raises Boundary/OutsideDomain
         raise ExchangeError(f"inconsistent location for {q}")  # pragma: no cover
 
@@ -181,7 +150,8 @@ class CompiledExchange:
 
 
 def compile_exchange(exchange: PieceExchange) -> CompiledExchange:
-    return CompiledExchange(exchange)
+    """The exchange's compiled stepper, built once and then reused."""
+    return exchange.compiled
 
 
 class BaseExchangeOrbit:
@@ -207,11 +177,11 @@ class BaseExchangeOrbit:
                 _denoms(self._dr[0]), _denoms(self._dr[1]))
         d2, d3 = d * d, d * d * d
         c2 = _pair(p.c2, d)
-        c1 = _pair(p.c1 * d2, 1)
-        c0 = _pair(p.c0 * d3, 1)
-        e1 = _pair(self._dq[0] * d2, 1)     # q - p linear coefficient
-        kq = _pair(self._dq[1] * d3, 1)
-        kr = _pair(self._dr[1] * d3, 1)
+        c1 = _pair(p.c1, d2)
+        c0 = _pair(p.c0, d3)
+        e1 = _pair(self._dq[0], d2)         # q - p linear coefficient
+        kq = _pair(self._dq[1], d3)
+        kr = _pair(self._dr[1], d3)
         xa, xb = _pair(pt.x, d)
         ya, yb = _pair(pt.y, d)
         word: list[int] = []
@@ -257,8 +227,7 @@ class BaseExchangeOrbit:
         return tuple(word)
 
     def _bail(self, xa, xb, ya, yb, d):
-        q = Point(QPhi(Fraction(xa, d), Fraction(xb, d)),
-                  QPhi(Fraction(ya, d), Fraction(yb, d)))
+        q = Point(QPhi.from_scaled(xa, xb, d), QPhi.from_scaled(ya, yb, d))
         build_base_exchange().locate(q)  # raises with the classification
         raise ExchangeError(f"inconsistent location for {q}")  # pragma: no cover
 

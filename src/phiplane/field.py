@@ -1,17 +1,21 @@
 """Exact arithmetic in the quadratic field Q(phi), phi the golden mean.
 
-Elements are stored as a + b*phi with rational a, b.  Since phi is
-irrational the representation is unique, and phi**2 = phi + 1 reduces
-every product back to this normal form.  All comparisons are exact; a
-high-precision rational embedding is available for rendering and test
-oracles but is never used to decide a branch.
+An element is stored as three integers (A, B, D) standing for
+(A + B*phi)/D, in the normal form D > 0 and gcd(A, B, D) = 1.  Since
+phi is irrational that form is unique, so equality is a comparison of
+integers, and phi**2 = phi + 1 reduces every product back to it.  All
+arithmetic is plain integer arithmetic with one gcd per result, and all
+comparisons go through one exact integer sign routine, `sgn_pair`.  The
+rational coordinates a, b of a + b*phi stay available as `Fraction`
+properties.  A double-precision embedding with a certified error bound
+serves rendering and filters; it never decides a branch on its own.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, isqrt
-from typing import Iterator, Tuple
+from math import gcd, isqrt
+from typing import Tuple
 
 RationalLike = int | Fraction
 
@@ -20,17 +24,80 @@ class FieldError(ZeroDivisionError):
     """Division by zero in Q(phi)."""
 
 
-class QPhi:
-    """An exact element a + b*phi of Q(phi)."""
+def sgn_pair(A: int, B: int) -> int:
+    """Exact sign of A + B*phi for integers A, B.
 
-    __slots__ = ("a", "b")
+    2(A + B*phi) = u + B*sqrt(5) with u = 2A + B; when u and B differ in
+    sign, comparing u**2 with 5*B**2 decides, and they are never equal
+    because sqrt(5) is irrational.
+    """
+    if B == 0:
+        return (A > 0) - (A < 0)
+    u = 2 * A + B
+    if B > 0:
+        if u >= 0:
+            return 1
+        return 1 if 5 * B * B > u * u else -1
+    if u <= 0:
+        return -1
+    return 1 if u * u > 5 * B * B else -1
+
+
+_new = object.__new__
+
+
+def _raw(A: int, B: int, D: int) -> "QPhi":
+    """An element from a triple already in normal form."""
+    x = _new(QPhi)
+    x._A = A
+    x._B = B
+    x._D = D
+    return x
+
+
+def _reduced(A: int, B: int, D: int) -> "QPhi":
+    """(A + B*phi)/D brought to normal form; D must be nonzero."""
+    if D != 1:
+        if D < 0:
+            A, B, D = -A, -B, -D
+        g = gcd(A, B, D)
+        if g != 1:
+            A, B, D = A // g, B // g, D // g
+    x = _new(QPhi)      # _raw, inlined on this hot path
+    x._A = A
+    x._B = B
+    x._D = D
+    return x
+
+
+# double-precision phi, and the relative error bound of __float__ with
+# slack: 8 * 2**-53 covers the five roundings of A/D + (B/D)*phi and the
+# two of the widening itself
+_PHI_FLOAT = 1.618033988749894848
+_FLOAT_ERR = 2.0 ** -50
+_FLOAT_TINY = 1e-300      # absolute slack for subnormal results
+
+
+class QPhi:
+    """An exact element a + b*phi = (A + B*phi)/D of Q(phi).
+
+    Immutable: the triple is fixed at construction and `a`, `b` are
+    read-only properties.
+    """
+
+    __slots__ = ("_A", "_B", "_D")
 
     def __init__(self, a: RationalLike = 0, b: RationalLike = 0) -> None:
-        object.__setattr__(self, "a", Fraction(a))
-        object.__setattr__(self, "b", Fraction(b))
-
-    def __setattr__(self, name, value):  # pragma: no cover
-        raise AttributeError("QPhi is immutable")
+        if a.__class__ is int and b.__class__ is int:
+            self._A, self._B, self._D = a, b, 1
+            return
+        fa, fb = Fraction(a), Fraction(b)
+        # D = lcm of the reduced denominators keeps gcd(A, B, D) = 1
+        da, db = fa.denominator, fb.denominator
+        D = da // gcd(da, db) * db
+        self._A = fa.numerator * (D // da)
+        self._B = fb.numerator * (D // db)
+        self._D = D
 
     # -- construction -------------------------------------------------
 
@@ -41,47 +108,89 @@ class QPhi:
         return cls(x)
 
     @classmethod
+    def from_scaled(cls, A: int, B: int, D: int) -> "QPhi":
+        """The element (A + B*phi)/D for integers A, B and D != 0."""
+        if D == 0:
+            raise FieldError("zero denominator")
+        return _reduced(A, B, D)
+
+    def scaled(self) -> Tuple[int, int, int]:
+        """The normal-form triple (A, B, D): value (A + B*phi)/D."""
+        return self._A, self._B, self._D
+
+    @classmethod
     def from_ints(cls, parts: Tuple[int, int, int, int] | list) -> "QPhi":
         an, ad, bn, bd = (int(p) for p in parts)
         return cls(Fraction(an, ad), Fraction(bn, bd))
 
     def to_ints(self) -> Tuple[int, int, int, int]:
         """Serialize as four integers [a_num, a_den, b_num, b_den]."""
-        return (self.a.numerator, self.a.denominator,
-                self.b.numerator, self.b.denominator)
+        a, b = self.a, self.b
+        return (a.numerator, a.denominator, b.numerator, b.denominator)
+
+    @property
+    def a(self) -> Fraction:
+        """The rational part a of a + b*phi."""
+        return Fraction(self._A, self._D)
+
+    @property
+    def b(self) -> Fraction:
+        """The phi coefficient b of a + b*phi."""
+        return Fraction(self._B, self._D)
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "QPhi | RationalLike") -> "QPhi":
-        o = QPhi.coerce(other)
-        return QPhi(self.a + o.a, self.b + o.b)
+        A, B, D = self._A, self._B, self._D
+        if other.__class__ is int:
+            return _raw(A + other * D, B, D)
+        o = other if other.__class__ is QPhi else QPhi.coerce(other)
+        D2 = o._D
+        if D == D2:
+            return _reduced(A + o._A, B + o._B, D)
+        g = gcd(D, D2)
+        m, m2 = D2 // g, D // g
+        return _reduced(A * m + o._A * m2, B * m + o._B * m2, D * m)
 
     __radd__ = __add__
 
     def __sub__(self, other: "QPhi | RationalLike") -> "QPhi":
-        o = QPhi.coerce(other)
-        return QPhi(self.a - o.a, self.b - o.b)
+        A, B, D = self._A, self._B, self._D
+        if other.__class__ is int:
+            return _raw(A - other * D, B, D)
+        o = other if other.__class__ is QPhi else QPhi.coerce(other)
+        D2 = o._D
+        if D == D2:
+            return _reduced(A - o._A, B - o._B, D)
+        g = gcd(D, D2)
+        m, m2 = D2 // g, D // g
+        return _reduced(A * m - o._A * m2, B * m - o._B * m2, D * m)
 
     def __rsub__(self, other: "QPhi | RationalLike") -> "QPhi":
         return QPhi.coerce(other) - self
 
     def __neg__(self) -> "QPhi":
-        return QPhi(-self.a, -self.b)
+        return _raw(-self._A, -self._B, self._D)
 
     def __mul__(self, other: "QPhi | RationalLike") -> "QPhi":
-        o = QPhi.coerce(other)
-        # (a1 + b1 p)(a2 + b2 p) with p**2 = p + 1
-        return QPhi(self.a * o.a + self.b * o.b,
-                    self.a * o.b + self.b * o.a + self.b * o.b)
+        A, B, D = self._A, self._B, self._D
+        if other.__class__ is int:
+            return _reduced(A * other, B * other, D)
+        o = other if other.__class__ is QPhi else QPhi.coerce(other)
+        A2, B2 = o._A, o._B
+        # (A + B p)(A2 + B2 p) with p**2 = p + 1
+        bb = B * B2
+        return _reduced(A * A2 + bb, A * B2 + B * A2 + bb, D * o._D)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QPhi":
-        # conjugate is (a + b) - b*phi, norm a**2 + a*b - b**2
-        n = self.a * self.a + self.a * self.b - self.b * self.b
+        # conjugate is (A + B) - B*phi, norm A**2 + A*B - B**2
+        A, B, D = self._A, self._B, self._D
+        n = A * A + A * B - B * B
         if n == 0:
             raise FieldError("division by zero in Q(phi)")
-        return QPhi((self.a + self.b) / n, -self.b / n)
+        return _reduced(D * (A + B), -D * B, n)
 
     def __truediv__(self, other: "QPhi | RationalLike") -> "QPhi":
         return self * QPhi.coerce(other).inverse()
@@ -92,69 +201,60 @@ class QPhi:
     # -- order --------------------------------------------------------
 
     def sign(self) -> int:
-        """Exact sign of the real value a + b*phi."""
-        a, b = self.a, self.b
-        if b == 0:
-            return (a > 0) - (a < 0)
-        sb = 1 if b > 0 else -1
-        r = -a / b
-        if r < 0:
-            return sb  # phi > 0 >= r
-        # for r >= 0: r < phi  iff  r**2 - r - 1 < 0
-        d = r * r - r - 1
-        if d == 0:  # impossible: phi is irrational
-            return 0
-        return sb if d < 0 else -sb
+        """Exact sign of the real value (D > 0 leaves it to A + B*phi)."""
+        return sgn_pair(self._A, self._B)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (QPhi, int, Fraction)):
-            o = QPhi.coerce(other)
-            return self.a == o.a and self.b == o.b
+        if other.__class__ is QPhi:
+            return (self._A == other._A and self._B == other._B
+                    and self._D == other._D)
+        if isinstance(other, int):
+            return self._B == 0 and self._D == 1 and self._A == other
+        if isinstance(other, Fraction):
+            return (self._B == 0 and self._A == other.numerator
+                    and self._D == other.denominator)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b))
+        # rational values hash like the int or Fraction they equal
+        if self._B == 0:
+            return hash(self._A if self._D == 1 else Fraction(self._A, self._D))
+        return hash((self._A, self._B, self._D))
 
     def __lt__(self, other: "QPhi | RationalLike") -> bool:
-        return (self - QPhi.coerce(other)).sign() < 0
+        return (self - other).sign() < 0
 
     def __le__(self, other: "QPhi | RationalLike") -> bool:
-        return (self - QPhi.coerce(other)).sign() <= 0
+        return (self - other).sign() <= 0
 
     def __gt__(self, other: "QPhi | RationalLike") -> bool:
-        return (self - QPhi.coerce(other)).sign() > 0
+        return (self - other).sign() > 0
 
     def __ge__(self, other: "QPhi | RationalLike") -> bool:
-        return (self - QPhi.coerce(other)).sign() >= 0
+        return (self - other).sign() >= 0
 
     def __abs__(self) -> "QPhi":
         return -self if self.sign() < 0 else self
 
     def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
+        return self._A != 0 or self._B != 0
 
     # -- floor / fractional part --------------------------------------
 
     def floor_frac(self) -> Tuple[int, "QPhi"]:
         """Return (n, f) with n <= x < n+1 and f = x - n, exactly.
 
-        Brackets phi between consecutive Fibonacci convergents and
-        narrows until the bracket of a + b*phi contains no integer
-        boundary; terminates because the value is irrational when b != 0.
+        floor((A + B*phi)/D) = floor(A + floor(B*phi)) // D, and
+        B*phi = (B + B*sqrt(5))/2 has its floor fixed by isqrt(5*B**2)
+        because sqrt(5)*|B| is irrational for B != 0.
         """
-        a, b = self.a, self.b
-        if b == 0:
-            n = floor(a)
-            return n, QPhi(a - n)
-        for lo, hi in _phi_brackets():
-            if b > 0:
-                vlo, vhi = a + b * lo, a + b * hi
-            else:
-                vlo, vhi = a + b * hi, a + b * lo
-            nlo, nhi = floor(vlo), floor(vhi)
-            if nlo == nhi:
-                return nlo, self - nlo
-        raise AssertionError("unreachable")  # pragma: no cover
+        A, B, D = self._A, self._B, self._D
+        if B > 0:
+            A += (B + isqrt(5 * B * B)) // 2
+        elif B < 0:
+            A += (B - isqrt(5 * B * B) - 1) // 2
+        n = A // D
+        return n, _raw(self._A - n * D, B, D)
 
     def __floor__(self) -> int:
         return self.floor_frac()[0]
@@ -170,14 +270,28 @@ class QPhi:
         lo = Fraction((1 << bits) + root, 1 << (bits + 1))
         hi = Fraction((1 << bits) + root + 1, 1 << (bits + 1))
         mid = (lo + hi) / 2
-        return self.a + self.b * mid
-
-    _PHI_FLOAT = 1.618033988749894848
+        return (self._A + self._B * mid) / self._D
 
     def __float__(self) -> float:
         # fast double-precision embedding: rendering and sort keys only,
         # never branch decisions
-        return self.a.__float__() + self.b.__float__() * QPhi._PHI_FLOAT
+        D = self._D
+        return self._A / D + self._B / D * _PHI_FLOAT
+
+    def float_bounds(self) -> Tuple[float, float]:
+        """Floats lo <= x <= hi around float(x), for certified filters.
+
+        The error of float(x) is bounded relative to (|A| + 2|B|)/D,
+        not to |x|, so it grows with the coefficients even when the
+        value is small.  Values beyond the float range give infinities.
+        """
+        A, B, D = self._A, self._B, self._D
+        try:
+            err = (abs(A) + 2 * abs(B)) / D * _FLOAT_ERR + _FLOAT_TINY
+        except OverflowError:
+            return float("-inf"), float("inf")
+        f = A / D + B / D * _PHI_FLOAT
+        return f - err, f + err
 
     # -- misc ---------------------------------------------------------
 
@@ -185,25 +299,13 @@ class QPhi:
         return f"QPhi({self.a!r}, {self.b!r})"
 
     def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        if self.a == 0:
-            return f"{self.b}*phi"
-        return f"{self.a}{'+' if self.b > 0 else ''}{self.b}*phi"
+        a, b = self.a, self.b
+        if b == 0:
+            return str(a)
+        if a == 0:
+            return f"{b}*phi"
+        return f"{a}{'+' if b > 0 else ''}{b}*phi"
 
-
-def _phi_brackets() -> Iterator[Tuple[Fraction, Fraction]]:
-    """Nested rational brackets of phi from Fibonacci quotients."""
-    f0, f1 = 1, 1
-    lo, hi = Fraction(1), Fraction(2)
-    while True:
-        yield lo, hi
-        f0, f1 = f1, f0 + f1
-        q = Fraction(f1 + f0, f1)  # F_{k+2}/F_{k+1}, alternates around phi
-        if q * q > q + 1:
-            hi = q
-        else:
-            lo = q
 
 PHI = QPhi(0, 1)
 ONE = QPhi(1)

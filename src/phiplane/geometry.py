@@ -10,12 +10,9 @@ split the x-axis at those roots and stay exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .field import QPhi, ZERO
-
-HALF = QPhi(Fraction(1, 2))
+from .field import HALF, QPhi, ZERO
 
 
 class GeometryError(ValueError):
@@ -343,47 +340,41 @@ def _strip_subtract(a: Strip, b: Strip) -> list[Strip]:
     return out
 
 
-# Pair prefilter: float conversion of a bounded QPhi is accurate to far
-# better than this margin, so a separation larger than it certifies the
-# exact intervals are disjoint.  Anything closer is decided exactly.
-_SEP = 1e-9
+# Pair prefilter: each strip's x-interval widened to floats that are
+# certain to contain it (QPhi.float_bounds).  Pairs whose widened
+# intervals are apart are x-disjoint and skipped; every other pair is
+# decided by the exact overlap test in _strip_intersect/_strip_subtract.
+def _x_box(s: Strip) -> tuple[float, float]:
+    return s.x_lo.float_bounds()[0], s.x_hi.float_bounds()[1]
 
 
 def region_intersect(a: Region, b: Region) -> Region:
     out: list[Strip] = []
-    bf = [(float(sb.x_lo), float(sb.x_hi)) for sb in b.strips]
+    bf = [_x_box(sb) for sb in b.strips]
     for sa in a.strips:
-        alo, ahi = float(sa.x_lo), float(sa.x_hi)
+        alo, ahi = _x_box(sa)
         for sb, (blo, bhi) in zip(b.strips, bf):
-            if ahi < blo - _SEP or bhi < alo - _SEP:
+            if ahi < blo or bhi < alo:
                 continue
             out.extend(_strip_intersect(sa, sb))
     return Region.of(out)
 
 
 def region_subtract(a: Region, b: Region) -> Region:
-    current = [(sa, float(sa.x_lo), float(sa.x_hi)) for sa in a.strips]
+    current = [(sa, *_x_box(sa)) for sa in a.strips]
     for sb in b.strips:
-        blo, bhi = float(sb.x_lo), float(sb.x_hi)
+        blo, bhi = _x_box(sb)
         nxt: list[tuple[Strip, float, float]] = []
         for item in current:
             sa, alo, ahi = item
-            if ahi < blo - _SEP or bhi < alo - _SEP:
+            if ahi < blo or bhi < alo:
                 nxt.append(item)
                 continue
             for s in _strip_subtract(sa, sb):
                 if (s.x_hi - s.x_lo).sign() > 0:
-                    nxt.append((s, float(s.x_lo), float(s.x_hi)))
+                    nxt.append((s, *_x_box(s)))
         current = nxt
     return Region.of([s for s, _, _ in current])
-
-
-def region_algebra(a: Region, b: Region, op: str) -> Region:
-    if op == "intersect":
-        return region_intersect(a, b)
-    if op == "subtract":
-        return region_subtract(a, b)
-    raise GeometryError(f"unknown region operation {op!r}")
 
 
 def is_subset(a: Region, b: Region) -> bool:

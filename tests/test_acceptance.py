@@ -14,3 +14,21 @@ def test_criterion(name, check):
     elapsed = time.monotonic() - start
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail} ({elapsed:.1f}s)")
     assert ok, f"{name}: {detail}"
+
+
+def test_tower_cache_extends_instead_of_rebuilding(monkeypatch):
+    from phiplane import acceptance
+    calls = []
+    real = acceptance.renormalize
+
+    def counted(exchange):
+        calls.append(exchange.level)
+        return real(exchange)
+    monkeypatch.setattr(acceptance, "renormalize", counted)
+    cache = acceptance._Cache()
+    short = cache.tower(2)
+    longer = cache.tower(4)
+    assert calls == [1, 2, 3]
+    assert [E.level for E in longer] == [1, 2, 3, 4]
+    assert all(a is b for a, b in zip(short, longer))
+    assert cache.tower(3) == longer[:3] and calls == [1, 2, 3]

@@ -11,9 +11,10 @@ from phiplane.exchange import (INV_PHI2, PAPER_STATED_Z, T_PHI_DRIFT,
                                rational_dependence, renormalization_checks,
                                renormalize, sample_points, strip_apply_T_phi,
                                strip_psi_inverse, witness_interval)
+from phiplane import fastorbit
 from phiplane.fastorbit import (BaseExchangeOrbit, CompiledExchange,
-                                compile_exchange, sgn_pair)
-from phiplane.field import HALF, PHI, QPhi, ZERO, phi_power
+                                compile_exchange)
+from phiplane.field import HALF, PHI, QPhi, ZERO, phi_power, sgn_pair
 
 
 @pytest.fixture(scope="module")
@@ -171,18 +172,24 @@ def test_sample_points_in_domain(base):
 
 # -- integer fast path --------------------------------------------------
 
+def _approx_sign(a: int, b: int) -> int:
+    v = QPhi(a, b).approx(400)      # within |b| * 2**-400 of a + b*phi
+    return (v > 0) - (v < 0)
+
+
 def test_sgn_pair_matches_exact():
     import random
+    assert fastorbit.sgn_pair is sgn_pair     # one sign kernel
     rng = random.Random(5)
     for _ in range(2000):
         a, b = rng.randint(-50, 50), rng.randint(-50, 50)
-        assert sgn_pair(a, b) == QPhi(a, b).sign()
+        assert sgn_pair(a, b) == QPhi(a, b).sign() == _approx_sign(a, b)
     # near-cancellation pairs around Fibonacci quotients
     f0, f1 = 1, 1
     for _ in range(90):
         f0, f1 = f1, f0 + f1
-        assert sgn_pair(f1, -f0) == QPhi(f1, -f0).sign()
-        assert sgn_pair(-f1, f0) == QPhi(-f1, f0).sign()
+        assert sgn_pair(f1, -f0) == QPhi(f1, -f0).sign() == _approx_sign(f1, -f0)
+        assert sgn_pair(-f1, f0) == QPhi(-f1, f0).sign() == _approx_sign(-f1, f0)
 
 
 def test_fast_orbit_agreement(base):
@@ -221,3 +228,24 @@ def test_code_orbit_entry_point(base):
     p = sample_points(base, 1, seed=13)[0]
     w = base.code_orbit(p, 64)
     assert len(w) == 64 and set(w) <= {1, 2}
+
+
+def test_code_orbit_compiles_once(monkeypatch):
+    E = exchange_tower(3)[-1]           # fresh: nothing compiled yet
+    compiles = []
+    real_init = CompiledExchange.__init__
+
+    def counted(self, exchange):
+        compiles.append(exchange)
+        real_init(self, exchange)
+    monkeypatch.setattr(CompiledExchange, "__init__", counted)
+    for p in sample_points(E, 3, seed=17):
+        first, second = E.code_orbit(p, 80), E.code_orbit(p, 80)
+        q, slow = p, []
+        for _ in range(80):
+            label, q = E.step(q)
+            slow.append(label)
+        assert first == second == tuple(slow)
+    assert compiles == [E]
+    assert compile_exchange(E) is E.compiled
+    assert compiles == [E]

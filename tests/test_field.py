@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
-from math import floor
+from math import floor, gcd
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from phiplane.field import (HALF, ONE, PHI, QPhi, ZERO, FieldError,
                             phi_power, _fib_pair)
@@ -100,3 +101,157 @@ def test_serialization_roundtrip():
 def test_immutability():
     with pytest.raises(AttributeError):
         PHI.a = Fraction(1)
+
+
+# -- property tests against a Fraction-pair reference -------------------
+
+
+def ref_mul(x, y):
+    (a1, b1), (a2, b2) = x, y
+    return (a1 * a2 + b1 * b2, a1 * b2 + b1 * a2 + b1 * b2)
+
+
+def ref_inverse(x):
+    a, b = x
+    n = a * a + a * b - b * b
+    return ((a + b) / n, -b / n)
+
+
+def ref_sign(x):
+    """Sign of a + b*phi from r = -a/b against phi's minimal polynomial."""
+    a, b = x
+    if b == 0:
+        return (a > 0) - (a < 0)
+    sb = 1 if b > 0 else -1
+    r = -a / b
+    if r < 0:
+        return sb
+    return sb if r * r - r - 1 < 0 else -sb
+
+
+def ref_floor(x):
+    # a 400-bit rational phi gives a candidate; the exact sign corrects it
+    a, b = x
+    n = floor(a + b * PHI.approx(400))
+    while ref_sign((a - n, b)) < 0:
+        n -= 1
+    while ref_sign((a - n - 1, b)) >= 0:
+        n += 1
+    return n
+
+
+def pair(x):
+    return (x.a, x.b)
+
+
+def assert_normal(x):
+    A, B, D = x.scaled()
+    assert D > 0 and gcd(A, B, D) == 1
+    assert QPhi(x.a, x.b) == x and pair(QPhi(x.a, x.b)) == pair(x)
+
+
+small = st.fractions(min_value=-60, max_value=60, max_denominator=40)
+large = st.builds(Fraction, st.integers(-2 ** 200, 2 ** 200),
+                  st.integers(1, 10 ** 9))
+coeff = st.one_of(small, small, large)
+elements = st.builds(QPhi, coeff, coeff)
+powers = st.builds(phi_power, st.integers(-200, 200))
+values = st.one_of(elements, powers,
+                   st.builds(lambda p, x: p * x, powers, elements))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values, values)
+def test_ring_ops_match_reference(x, y):
+    for got, want in ((x + y, (x.a + y.a, x.b + y.b)),
+                      (x - y, (x.a - y.a, x.b - y.b)),
+                      (x * y, ref_mul(pair(x), pair(y))),
+                      (-x, (-x.a, -x.b))):
+        assert pair(got) == want
+        assert_normal(got)
+    if x:
+        inv = x.inverse()
+        assert pair(inv) == ref_inverse(pair(x))
+        assert_normal(inv)
+        assert pair(y / x) == ref_mul(pair(y), ref_inverse(pair(x)))
+    else:
+        with pytest.raises(FieldError):
+            x.inverse()
+
+
+@settings(max_examples=300, deadline=None)
+@given(values, st.integers(-10 ** 6, 10 ** 6), coeff)
+def test_mixed_ops_with_rationals(x, n, q):
+    for r in (n, q):
+        assert pair(x + r) == (x.a + r, x.b)
+        assert pair(x - r) == (x.a - r, x.b)
+        assert pair(r - x) == (r - x.a, -x.b)
+        assert (x < r, x == r) == (ref_sign((x.a - r, x.b)) < 0,
+                                   x.b == 0 and x.a == r)
+        assert pair(x * r) == (x.a * r, x.b * r)
+        assert_normal(x * r)
+        if r:
+            assert pair(x / r) == (x.a / r, x.b / r)
+            assert_normal(x / r)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values, values)
+def test_order_matches_reference(x, y):
+    s = ref_sign((x.a - y.a, x.b - y.b))
+    assert x.sign() == ref_sign(pair(x))
+    assert (x < y, x <= y, x > y, x >= y) == (s < 0, s <= 0, s > 0, s >= 0)
+    assert (x == y) == (s == 0) == (pair(x) == pair(y))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values)
+def test_floor_frac_matches_reference(x):
+    n, f = x.floor_frac()
+    assert n == ref_floor(pair(x))
+    assert pair(f) == (x.a - n, x.b)
+    assert_normal(f)
+    assert ZERO <= f < ONE
+
+
+@settings(max_examples=300, deadline=None)
+@given(values, values)
+def test_eq_and_hash(x, y):
+    z = (x + y) - y         # the same value reached another way
+    assert z == x and hash(z) == hash(x)
+    if x.b == 0:
+        assert x == x.a and hash(x) == hash(x.a)
+        if x.a.denominator == 1:
+            assert x == x.a.numerator and hash(x) == hash(x.a.numerator)
+    else:
+        assert x != x.a
+
+
+@settings(max_examples=300, deadline=None)
+@given(powers, powers, coeff)
+def test_sign_of_large_coefficients_agrees_with_approx(p, q, r):
+    x = p * q - r           # coefficients up to about 2**280
+    v = x.approx(400)
+    # approx is within |b| * 2**-400 of the value
+    assume(abs(v) > 2 * abs(x.b) / 2 ** 400)
+    assert x.sign() == (1 if v > 0 else -1)
+
+
+def test_large_power_identities():
+    for k in (100, 160, 200):
+        up, down = phi_power(k), phi_power(-k)
+        assert up * down == ONE
+        assert down.inverse() == up
+        assert down.sign() == 1 and (-down).sign() == -1
+        assert (down - phi_power(-k - 1)).sign() == 1
+        assert (HALF - down).floor_frac()[0] == 0
+        assert (down - HALF).floor_frac()[0] == -1
+        assert_normal(up * HALF * down)
+
+
+def test_float_bounds_bracket_value():
+    for k in range(-200, 201, 7):
+        for x in (phi_power(k), HALF - phi_power(k), phi_power(k) / 97):
+            lo, hi = x.float_bounds()
+            v = x.approx(600)
+            assert lo <= v <= hi

@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from phiplane.field import PHI, QPhi, ZERO
+from phiplane import geometry
+from phiplane.exchange import exchange_tower
+from phiplane.field import PHI, QPhi, ZERO, phi_power
 from phiplane.geometry import (EMPTY_REGION, GeometryError, QuadBound, Region,
                                Strip, area_disjoint, is_subset, merge_strips,
                                region_intersect, region_subtract,
@@ -129,3 +131,56 @@ def test_quadratic_strip_subtraction_exact_area():
     assert left.area() == 2
     inter = region_intersect(Region.of([a]), Region.of([b]))
     assert inter.area() == 2
+
+
+# -- the float prefilter of region_intersect / region_subtract ----------
+
+@pytest.mark.parametrize("x", [HALF, Q(Fraction(33, 97))])
+def test_deep_overlap_is_not_filtered_out(x):
+    # [0, x) x (0, 1] and [x - phi**-k, 1) x (0, 1] overlap in a sliver of
+    # area phi**-k; from k near 40 the end points' float conversion errs
+    # by more than the sliver is wide
+    a = Region.of([Strip(ZERO, x, const(0), const(1))])
+    for k in range(3, 161):     # phi**-k < x
+        eps = phi_power(-k)
+        b = Region.of([Strip(x - eps, Q(1), const(0), const(1))])
+        assert not area_disjoint(a, b), k
+        assert region_intersect(a, b).area() == eps
+        assert region_subtract(a, b).area() == x - eps
+
+
+def test_overlap_at_phi_minus_100_regression():
+    eps = phi_power(-100)       # coefficients near 2**69
+    a = Region.of([Strip(ZERO, HALF, const(0), const(1))])
+    b = Region.of([Strip(HALF - eps, Q(1), const(0), const(1))])
+    assert not area_disjoint(a, b)
+
+
+def _counting(monkeypatch, name):
+    calls = []
+    real = getattr(geometry, name)
+
+    def counted(a, b):
+        calls.append((a, b))
+        return real(a, b)
+    monkeypatch.setattr(geometry, name, counted)
+    return calls
+
+
+def test_prefilter_skips_pairs_on_tower_levels(monkeypatch):
+    inter_calls = _counting(monkeypatch, "_strip_intersect")
+    sub_calls = _counting(monkeypatch, "_strip_subtract")
+    for E in exchange_tower(6)[2:]:
+        d1, d2 = E.piece(1).region, E.piece(2).region
+        pairs = len(d1.strips) * len(d2.strips)
+        del inter_calls[:], sub_calls[:]
+        inter = region_intersect(d1, d2)
+        diff = region_subtract(d1, d2)
+        assert 0 < len(inter_calls) < pairs // 4
+        assert 0 < len(sub_calls) < pairs // 4
+        # the skipped pairs change nothing: every pair decided exactly
+        unfiltered = [t for sa in d1.strips for sb in d2.strips
+                      for t in geometry._strip_intersect(sa, sb)]
+        assert inter == Region.of(unfiltered)
+        assert inter.area() == 0
+        assert diff.area() == d1.area()
