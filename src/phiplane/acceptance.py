@@ -13,18 +13,15 @@ import time
 from fractions import Fraction
 from typing import Callable
 
-import importlib
-
 from . import birkhoff, scenarios, words
-
-# the package re-exports the refine *function*; fetch the module itself
-refine = importlib.import_module(f"{__package__}.refine")
 from .exchange import (PAPER_STATED_Z, PieceExchange, build_base_exchange,
                        build_translation_exchange, check_projection_witness,
                        projection_witness, renormalization_checks,
                        renormalize, sample_points)
 from .fastorbit import BaseExchangeOrbit
 from .field import PHI, QPhi, ZERO, phi_power
+from .refine import (complexity_table, language_from_refinement,
+                     matching_horizon, max_cell_area, refinement_chain)
 
 
 class _Cache:
@@ -163,20 +160,20 @@ def check_theorem2_desk_scale(langa_levels: int = 8,
                               m_levels: int = 10) -> tuple[bool, str]:
     """Low complexity at high level, the language recursion, and M(N)."""
     tower = _cache.tower(m_levels)
-    table = refine.complexity_table(tower[9], 5)
+    table = complexity_table(tower[9], 5)
     if table != [(k, k + 1) for k in range(1, 6)]:
         return False, f"level-10 complexity {table}"
     fib = words.fibonacci_language(6)
-    lang10 = refine.language_from_refinement(tower[9], 6)
+    lang10 = language_from_refinement(tower[9], 6)
     if lang10.words != fib.words:
         return False, "level-10 language differs from the Fibonacci language"
-    langs = [refine.language_from_refinement(E, 6)
+    langs = [language_from_refinement(E, 6)
              for E in tower[:langa_levels + 1]]
     for N in range(langa_levels):
         expect = words.iterate_step(langs[N], words.FIBONACCI, 6)
         if langs[N + 1].words != expect.words:
             return False, f"language recursion fails at level {N + 1}"
-    mmap = [refine.matching_horizon(E, 12) for E in tower[:m_levels]]
+    mmap = [matching_horizon(E, 12) for E in tower[:m_levels]]
     if any(b < a for a, b in zip(mmap, mmap[1:])):
         return False, f"M(N) not non-decreasing: {mmap}"
     return True, f"M(N) for N=1..{m_levels}: {mmap}"
@@ -193,7 +190,7 @@ def check_theorem1_desk_scale(max_step: int = 6,
             total += 1
     E = build_translation_exchange(phi_power(-2), phi_power(-3),
                                   check_independence=False)
-    table = refine.complexity_table(E, max_n)
+    table = complexity_table(E, max_n)
     for n, p in table:
         if p < 2 * n + 1:
             return False, f"translation p({n}) = {p} < {2 * n + 1}"
@@ -206,7 +203,7 @@ def check_halmos_diagnostics(depth: int = 12, pairs: int = 200,
                              horizon: int = 1000) -> tuple[bool, str]:
     """Cell areas shrink and nearby points separate in coding."""
     E = build_base_exchange()
-    areas = [refine.max_cell_area(E, n) for n in range(1, depth + 1)]
+    areas = [max_cell_area(cells) for cells in refinement_chain(E, depth)]
     for a, b in zip(areas, areas[1:]):
         if (b - a).sign() > 0:
             return False, "max cell area increased"

@@ -11,8 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import acceptance, birkhoff, scenarios, words
-from .refine import complexity_csv_rows, complexity_table
+from . import birkhoff, words
+from .refine import complexity_table
 from .exchange import (ExchangeError, build_base_exchange,
                        build_translation_exchange, exchange_tower,
                        renormalization_checks)
@@ -107,8 +107,7 @@ def run(argv: list[str]) -> int:
         _positive(ap, level=args.level, max_n=args.max_n)
         E = exchange_tower(args.level)[-1]
         emit("level,n,p_n")
-        for _, n, p in complexity_csv_rows(
-                args.level, complexity_table(E, args.max_n)):
+        for n, p in complexity_table(E, args.max_n):
             emit(f"{args.level},{n},{p}")
     elif args.command == "language":
         _positive(ap, iters=args.iters, max_len=args.max_len)
@@ -132,6 +131,7 @@ def run(argv: list[str]) -> int:
             emit(f"{n},{p}")
     elif args.command == "theorem1":
         _positive(ap, n=args.n)
+        from . import scenarios     # sympy loads only for this command
         for sc in scenarios.enumerate_scenarios(args.n):
             emit(scenarios.scenario_report(sc))
             emit("")
@@ -143,6 +143,7 @@ def run(argv: list[str]) -> int:
         _positive(ap, level=args.level)
         emit(exchange_svg(exchange_tower(args.level)[-1]).rstrip("\n"))
     elif args.command == "verify":
+        from . import acceptance    # imports sympy through scenarios
         ok = acceptance.run_all(emit)
         _write(args.output, lines)
         return EXIT_OK if ok else EXIT_CHECK_FAILED

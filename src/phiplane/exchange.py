@@ -14,8 +14,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Literal, NamedTuple
 
 from .field import HALF, ONE, ZERO, QPhi, phi_power
-from .geometry import (GeometryError, QuadBound, Region, Strip,
-                       area_disjoint, is_subset, merge_strips,
+from .geometry import (QuadBound, Region, Strip, area_disjoint, is_subset,
                        strips_from_constraints)
 from .words import Word
 
@@ -46,25 +45,32 @@ class Point(NamedTuple):
 
 @dataclass(frozen=True)
 class BaseMap:
-    """Either the nilsystem map T_phi or a plane translation."""
+    """The affine shear (x, y) -> (x + alpha, y + beta + k*x).
 
-    kind: Literal["T_phi", "translation"]
-    alpha: QPhi = INV_PHI2
-    beta: QPhi = ZERO
+    T_phi is the shear with alpha = 1/phi**2, beta = -1/(2 phi**3) and
+    k = 1; a plane translation has k = 0.
+    """
+
+    alpha: QPhi
+    beta: QPhi
+    k: int = 0
+
+    @property
+    def kind(self) -> Literal["T_phi", "translation"]:
+        return "T_phi" if self.k else "translation"
 
     def apply(self, p: Point) -> Point:
-        if self.kind == "T_phi":
-            return Point(p.x + INV_PHI2, p.y + p.x + T_PHI_DRIFT)
-        return Point(p.x + self.alpha, p.y + self.beta)
+        return Point(p.x + self.alpha, p.y + self.beta + self.k * p.x)
 
     def apply_inverse(self, p: Point) -> Point:
-        if self.kind == "T_phi":
-            x = p.x - INV_PHI2
-            return Point(x, p.y - x - T_PHI_DRIFT)
-        return Point(p.x - self.alpha, p.y - self.beta)
+        x = p.x - self.alpha
+        return Point(x, p.y - self.beta - self.k * x)
+
+    def image(self, region: Region) -> Region:
+        return region_image(region, self.alpha, self.beta, self.k)
 
 
-T_PHI = BaseMap("T_phi")
+T_PHI = BaseMap(INV_PHI2, T_PHI_DRIFT, 1)
 
 
 def apply_T_phi(p: Point) -> Point:
@@ -138,31 +144,19 @@ class PieceExchange:
         return self.pieces[0].region.leading_coefficient()
 
 
-def locate(exchange: PieceExchange, p: Point) -> int:
-    return exchange.locate(p)
-
-
-def code_orbit(exchange: PieceExchange, p: Point, n: int) -> Word:
-    return exchange.code_orbit(p, n)
-
-
 # -- strip transport under the construction maps ------------------------
 
-def strip_translate(s: Strip, u: QPhi, v: QPhi) -> Strip:
-    """Image of a strip under (x, y) -> (x + u, y + v)."""
+def strip_image(s: Strip, u: QPhi, v: QPhi, k: int = 0) -> Strip:
+    """Image of a strip under the shear (x, y) -> (x + u, y + v + k*x)."""
+    d0 = v - k * u
     return Strip(s.x_lo + u, s.x_hi + u,
-                 s.lower.shift_x(-u).add_affine(ZERO, v),
-                 s.upper.shift_x(-u).add_affine(ZERO, v),
+                 s.lower.shift_x(-u).add_affine(k, d0),
+                 s.upper.shift_x(-u).add_affine(k, d0),
                  s.lo_closed, s.hi_closed, s.lower_closed, s.upper_closed)
 
 
-def strip_apply_T_phi(s: Strip) -> Strip:
-    # shear (x, y) -> (x, y + x), then translate by (1/phi**2, drift)
-    sheared = Strip(s.x_lo, s.x_hi,
-                    s.lower.add_affine(ONE, ZERO),
-                    s.upper.add_affine(ONE, ZERO),
-                    s.lo_closed, s.hi_closed, s.lower_closed, s.upper_closed)
-    return strip_translate(sheared, INV_PHI2, T_PHI_DRIFT)
+def region_image(region: Region, u: QPhi, v: QPhi, k: int = 0) -> Region:
+    return Region.of(strip_image(s, u, v, k) for s in region.strips)
 
 
 def strip_psi_inverse(s: Strip) -> Strip:
@@ -182,20 +176,8 @@ def strip_psi_inverse(s: Strip) -> Strip:
                  lower_closed=s.upper_closed, upper_closed=s.lower_closed)
 
 
-def region_map(region: Region, strip_fn) -> Region:
-    return Region.of(strip_fn(s) for s in region.strips)
-
-
 def region_psi_inverse(region: Region) -> Region:
-    return region_map(region, strip_psi_inverse)
-
-
-def region_apply_T_phi(region: Region) -> Region:
-    return region_map(region, strip_apply_T_phi)
-
-
-def region_translate(region: Region, u: QPhi, v: QPhi) -> Region:
-    return Region.of(strip_translate(s, u, v) for s in region.strips)
+    return Region.of(strip_psi_inverse(s) for s in region.strips)
 
 
 # -- the base exchange of the nilsystem ---------------------------------
@@ -306,17 +288,15 @@ def projection_witness(exchange: PieceExchange) -> QPhi:
 
 def renormalize(exchange: PieceExchange) -> PieceExchange:
     """One step of the construction: D1' = psi^-1(D), D2' = T(psi^-1(D1))."""
-    if exchange.base.kind != "T_phi" or len(exchange.pieces) != 2:
+    if exchange.base != T_PHI or len(exchange.pieces) != 2:
         raise ExchangeError("renormalization needs a two-piece T_phi exchange")
     if exchange.piece(1).shift != (0, 0) or exchange.piece(2).shift != (1, 0):
         raise ExchangeError("renormalization needs shifts (0,0) and (1,0)")
     projection_witness(exchange)  # raises with the violated condition
     d1 = exchange.piece(1).region
     d2 = exchange.piece(2).region
-    d1_new = Region.of(merge_strips(
-        [strip_psi_inverse(s) for s in d1.strips]
-        + [strip_psi_inverse(s) for s in d2.strips]))
-    d2_new = region_apply_T_phi(region_psi_inverse(d1))
+    d1_new = Region.of(strip_psi_inverse(s) for s in d1.strips + d2.strips)
+    d2_new = T_PHI.image(region_psi_inverse(d1))
     return PieceExchange(
         base=T_PHI,
         pieces=(Piece(1, d1_new, (0, 0)), Piece(2, d2_new, (1, 0))),
@@ -330,9 +310,10 @@ def renormalization_checks(before: PieceExchange,
     d2 = before.piece(2).region
     d1n = after.piece(1).region
     d2n = after.piece(2).region
-    img1 = region_apply_T_phi(region_psi_inverse(d1))
-    img2 = region_apply_T_phi(region_psi_inverse(d2))
-    returned = region_translate(region_apply_T_phi(d2n), -ONE, ZERO)
+    img1 = T_PHI.image(region_psi_inverse(d1))
+    img2 = T_PHI.image(region_psi_inverse(d2))
+    # the branch of piece 2: T, then back by (1, 0)
+    returned = region_image(d2n, INV_PHI2 - ONE, T_PHI_DRIFT, 1)
     return {
         "T(psi^-1(D1)) in D2'": is_subset(img1, d2n),
         "T(psi^-1(D2)) in D1'": is_subset(img2, d1n),
@@ -393,7 +374,7 @@ def build_translation_exchange(alpha: QPhi, beta: QPhi,
         Piece(3, rect(ZERO, ca, cb_bound, one_b), (0, 1)),
         Piece(4, rect(ca, ONE, cb_bound, one_b), (1, 1)),
     )
-    return PieceExchange(base=BaseMap("translation", alpha, beta),
+    return PieceExchange(base=BaseMap(alpha, beta),
                          pieces=pieces, level=1)
 
 

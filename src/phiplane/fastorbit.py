@@ -41,11 +41,7 @@ class CompiledExchange:
                           s.upper.c2, s.upper.c1, s.upper.c0):
                     d = lcm(d, _denoms(v))
         base = exchange.base
-        if base.kind == "T_phi":
-            d = lcm(d, 2)
-        else:
-            d = lcm(d, _denoms(base.alpha), _denoms(base.beta))
-        self.base_den = d
+        self.base_den = lcm(d, _denoms(base.alpha), _denoms(base.beta))
         self._tables: dict[int, tuple] = {}
 
     def _table(self, d: int) -> tuple:
@@ -67,21 +63,14 @@ class CompiledExchange:
                 strips.append((lo, hi, s.lo_closed, s.hi_closed, lw, up))
             pieces.append((piece.label, piece.shift, strips))
         base = self.exchange.base
-        if base.kind == "T_phi":
-            step_x = (2 * d, -d)                       # 1/phi**2
-            step_y = (3 * d // 2, -d)                  # -1/(2 phi**3)
-            shear = True
-        else:
-            step_x = _pair(base.alpha, d)
-            step_y = _pair(base.beta, d)
-            shear = False
-        table = (tuple(pieces), step_x, step_y, shear, d, d2, d3)
+        table = (tuple(pieces), _pair(base.alpha, d), _pair(base.beta, d),
+                 base.k, d, d2, d3)
         self._tables[d] = table
         return table
 
     def _run(self, p: Point, n: int, record: bool):
         d = lcm(self.base_den, _denoms(p.x), _denoms(p.y))
-        pieces, step_x, step_y, shear, d, d2, d3 = self._table(d)
+        pieces, step_x, step_y, k, d, d2, d3 = self._table(d)
         xa, xb = _pair(p.x, d)
         ya, yb = _pair(p.y, d)
         word: list[int] = []
@@ -123,9 +112,10 @@ class CompiledExchange:
                 self._fail(xa, xb, ya, yb, d)
             if record:
                 word.append(label)
-            if shear:
-                ya += xa
-                yb += xb
+            # (x, y) -> (x + alpha - n, y + beta + k*x - m)
+            if k:
+                ya += k * xa
+                yb += k * xb
             xa += step_x[0] - shift[0] * d
             xb += step_x[1]
             ya += step_y[0] - shift[1] * d

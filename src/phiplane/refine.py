@@ -10,9 +10,12 @@ inside one quadratic family.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .exchange import INV_PHI2, T_PHI_DRIFT, PieceExchange
-from .field import QPhi, ZERO, ONE
-from .geometry import Region, Strip, merge_strips, region_intersect
+from itertools import islice
+from typing import Iterator
+
+from .exchange import PieceExchange, region_image
+from .field import QPhi, ZERO
+from .geometry import Region, region_intersect
 from .words import Language, Word
 
 
@@ -25,71 +28,52 @@ class Cell:
     cell_area: QPhi
 
 
-def _strip_unshear(s: Strip) -> Strip:
-    # (x, y) -> (x, y - x)
-    return Strip(s.x_lo, s.x_hi,
-                 s.lower.add_affine(-ONE, ZERO),
-                 s.upper.add_affine(-ONE, ZERO),
-                 s.lo_closed, s.hi_closed, s.lower_closed, s.upper_closed)
-
-
-def _strip_translate(s: Strip, u: QPhi, v: QPhi) -> Strip:
-    return Strip(s.x_lo + u, s.x_hi + u,
-                 s.lower.shift_x(-u).add_affine(ZERO, v),
-                 s.upper.shift_x(-u).add_affine(ZERO, v),
-                 s.lo_closed, s.hi_closed, s.lower_closed, s.upper_closed)
-
-
 def preimage(exchange: PieceExchange, label: int, region: Region) -> Region:
-    """Preimage of a region under the branch acting on piece `label`."""
+    """Preimage of a region under the branch acting on piece `label`.
+
+    The branch is p -> T(p) - (n, m) for the base shear
+    T(x, y) = (x + a, y + b + k x); its inverse (x, y) -> T^-1(x + n, y + m)
+    is the shear by u = n - a, v = m - b - k u with slope -k.
+    """
     n, m = exchange.piece(label).shift
     base = exchange.base
-    out = []
-    for s in region.strips:
-        t = _strip_translate(s, QPhi(n), QPhi(m))
-        if base.kind == "T_phi":
-            t = _strip_translate(t, -INV_PHI2, -T_PHI_DRIFT)
-            t = _strip_unshear(t)
-        else:
-            t = _strip_translate(t, -base.alpha, -base.beta)
-        out.append(t)
-    return Region(tuple(merge_strips(out)))
+    u = n - base.alpha
+    v = m - base.beta - base.k * u
+    return region_image(region, u, v, -base.k)
 
 
-def refine(exchange: PieceExchange, n: int) -> list[Cell]:
-    """All positive-area depth-n cells, in word lexicographic order."""
-    if n < 1:
-        raise ValueError("depth must be >= 1")
-    cells = [Cell((p.label,), p.region, p.region.area())
-             for p in exchange.pieces
-             if p.region.area() > ZERO]
-    for _ in range(n - 1):
+def _depths(exchange: PieceExchange) -> Iterator[list[Cell]]:
+    """Positive-area cells at depth 1, 2, ..., each sorted by word."""
+    cells = [Cell((p.label,), p.region, a)
+             for p in exchange.pieces if (a := p.region.area()) > ZERO]
+    while True:
+        cells.sort(key=lambda c: c.word)
+        yield cells
         nxt: list[Cell] = []
         for piece in exchange.pieces:
             for c in cells:
-                r = region_intersect(piece.region, preimage(exchange, piece.label, c.region))
+                r = region_intersect(piece.region,
+                                     preimage(exchange, piece.label, c.region))
                 a = r.area()
                 if a > ZERO:
                     nxt.append(Cell((piece.label,) + c.word, r, a))
         cells = nxt
-    return sorted(cells, key=lambda c: c.word)
 
 
 def refinement_chain(exchange: PieceExchange, max_n: int) -> list[list[Cell]]:
-    """Cells at every depth 1..max_n, reusing each previous depth."""
+    """Cells at every depth 1..max_n, each depth built from the previous one."""
     if max_n < 1:
         raise ValueError("depth must be >= 1")
-    out = [refine(exchange, 1)]
-    for _ in range(max_n - 1):
-        nxt: list[Cell] = []
-        for piece in exchange.pieces:
-            for c in out[-1]:
-                r = region_intersect(piece.region, preimage(exchange, piece.label, c.region))
-                a = r.area()
-                if a > ZERO:
-                    nxt.append(Cell((piece.label,) + c.word, r, a))
-        out.append(sorted(nxt, key=lambda c: c.word))
-    return out
+    return list(islice(_depths(exchange), max_n))
+
+
+def refine(exchange: PieceExchange, n: int) -> list[Cell]:
+    """All positive-area depth-n cells, in word lexicographic order."""
+    return refinement_chain(exchange, n)[-1]
+
+
+def max_cell_area(cells: list[Cell]) -> QPhi:
+    return max(c.cell_area for c in cells)
 
 
 def complexity_table(exchange: PieceExchange, max_n: int) -> list[tuple[int, int]]:
@@ -107,27 +91,17 @@ def language_from_refinement(exchange: PieceExchange, max_n: int) -> Language:
     return Language.from_words(words, m, max_n)
 
 
-def max_cell_area(exchange: PieceExchange, n: int) -> QPhi:
-    best = ZERO
-    for c in refine(exchange, n):
-        if c.cell_area > best:
-            best = c.cell_area
-    return best
-
-
 def matching_horizon(exchange: PieceExchange, cap: int = 12) -> int:
-    """Largest M <= cap with p(k) = k+1 for every k = 1..M (0 if none)."""
+    """Largest M <= cap with p(k) = k+1 for every k = 1..M (0 if none).
+
+    Refinement stops at the first depth whose count differs from k+1.
+    """
     m = 0
-    for k, p in complexity_table(exchange, cap):
-        if p != k + 1:
+    for k, cells in enumerate(islice(_depths(exchange), cap), start=1):
+        if len(cells) != k + 1:
             break
         m = k
     return m
-
-
-def complexity_csv_rows(level: int,
-                        table: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
-    return [(level, n, p) for n, p in table]
 
 
 def three_distance_gaps(alpha: QPhi, n: int) -> list[QPhi]:

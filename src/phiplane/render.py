@@ -16,7 +16,7 @@ quadratic bound lists c2, c1, c0.
 
 from __future__ import annotations
 
-from .exchange import BaseMap, Piece, PieceExchange, Point
+from .exchange import T_PHI, BaseMap, Piece, PieceExchange
 from .field import QPhi
 from .geometry import QuadBound, Region, Strip
 
@@ -46,34 +46,70 @@ def serialize_exchange(exchange: PieceExchange) -> str:
     return "\n".join(lines) + "\n"
 
 
+class ParseError(ValueError):
+    """Malformed exchange text; the message names the 1-based line."""
+
+
+# fields after the tag of each record
+_WIDTH = {"exchange": 3, "alpha": 4, "beta": 4, "piece": 4, "strip": 33}
+
+
 def parse_exchange(text: str) -> PieceExchange:
-    tokens = [line.split() for line in text.splitlines() if line.strip()]
-    head = tokens.pop(0)
-    if head[0] != "exchange":
-        raise ValueError("missing exchange header")
-    kind, level, count = head[1], int(head[2]), int(head[3])
-    alpha = beta = None
-    if kind != "T_phi":
-        alpha = QPhi.from_ints(tokens.pop(0)[1:])
-        beta = QPhi.from_ints(tokens.pop(0)[1:])
-        base = BaseMap(kind, alpha, beta)
+    lines = text.splitlines()
+    records = [(n, line.split()) for n, line in enumerate(lines, start=1)
+               if line.strip()]
+    records.reverse()
+
+    def take(tag: str) -> tuple[int, list[str]]:
+        if not records:
+            raise ParseError(f"line {len(lines) + 1}: missing {tag} record")
+        n, tokens = records.pop()
+        if tokens[0] != tag:
+            raise ParseError(f"line {n}: expected a {tag!r} record,"
+                             f" got {tokens[0]!r}")
+        if len(tokens) != 1 + _WIDTH[tag]:
+            raise ParseError(f"line {n}: {tag!r} record has {_WIDTH[tag]}"
+                             f" fields, got {len(tokens) - 1}")
+        return n, tokens[1:]
+
+    def ints(n: int, tokens: list[str]) -> list[int]:
+        try:
+            return [int(t) for t in tokens]
+        except ValueError:
+            raise ParseError(f"line {n}: non-integer token") from None
+
+    def qphis(n: int, tokens: list[str]) -> list[QPhi]:
+        v = ints(n, tokens)
+        if not all(v[1::2]):
+            raise ParseError(f"line {n}: zero denominator")
+        return [QPhi.from_ints(v[i:i + 4]) for i in range(0, len(v), 4)]
+
+    n, (kind, *head) = take("exchange")
+    level, count = ints(n, head)
+    if kind == "T_phi":
+        base = T_PHI
+    elif kind == "translation":
+        alpha, = qphis(*take("alpha"))
+        beta, = qphis(*take("beta"))
+        base = BaseMap(alpha, beta)
     else:
-        base = BaseMap("T_phi")
+        raise ParseError(f"line {n}: unknown base kind {kind!r}")
     pieces = []
     for _ in range(count):
-        rec = tokens.pop(0)
-        label, n, m, strip_count = (int(v) for v in rec[1:])
+        label, shift_x, shift_y, strip_count = ints(*take("piece"))
         strips = []
         for _ in range(strip_count):
-            rec = tokens.pop(0)
-            flags = rec[1]
-            vals = rec[2:]
-            q = [QPhi.from_ints(vals[i:i + 4]) for i in range(0, 32, 4)]
+            n, (flags, *vals) = take("strip")
+            if len(flags) != 4 or set(flags) - {"0", "1"}:
+                raise ParseError(f"line {n}: flags must be four 0/1 digits")
+            q = qphis(n, vals)
             strips.append(Strip(q[0], q[1],
                                 QuadBound(q[2], q[3], q[4]),
                                 QuadBound(q[5], q[6], q[7]),
                                 *(c == "1" for c in flags)))
-        pieces.append(Piece(label, Region(tuple(strips)), (n, m)))
+        pieces.append(Piece(label, Region(tuple(strips)), (shift_x, shift_y)))
+    if records:
+        raise ParseError(f"line {records[-1][0]}: extra record")
     return PieceExchange(base, tuple(pieces), level)
 
 

@@ -69,10 +69,6 @@ FIBONACCI = Substitution({1: (1, 2), 2: (1,)})
 TRIBONACCI = Substitution({1: (1, 2), 2: (1, 3), 3: (1,)})
 
 
-def apply_substitution(s: Substitution, w: Word) -> Word:
-    return s(w)
-
-
 def fibonacci_word(length: int) -> Word:
     return FIBONACCI.fixed_point_prefix(length)
 

@@ -1,8 +1,16 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import phiplane
 from phiplane.cli import run
-from phiplane.exchange import build_base_exchange, exchange_tower, sample_points
-from phiplane.render import exchange_svg, parse_exchange, serialize_exchange
+from phiplane.exchange import (build_base_exchange, build_translation_exchange,
+                               exchange_tower, sample_points)
+from phiplane.field import phi_power
+from phiplane.render import (ParseError, exchange_svg, parse_exchange,
+                             serialize_exchange)
 
 
 @pytest.fixture(scope="module")
@@ -34,9 +42,40 @@ def test_serialized_header(base):
     assert lines[1].startswith("piece 1 0 0 ")
 
 
+def test_serialize_roundtrip_translation():
+    E = build_translation_exchange(phi_power(-2), phi_power(-3),
+                                  check_independence=False)
+    back = parse_exchange(serialize_exchange(E))
+    assert back == E
+
+
+def _garbage_cases():
+    text = serialize_exchange(build_base_exchange())
+    lines = text.splitlines()
+    strip = lines[2].split()
+
+    def edit(i, line):
+        return "\n".join(lines[:i] + [line] + lines[i + 1:]) + "\n"
+    return [
+        ("bogus 1 2 3\n", 1, "expected a 'exchange' record"),
+        ("exchange nil 1 2\n", 1, "unknown base kind"),
+        ("exchange translation 1 1\nalpha 1 2 0 1\n", 3, "missing beta"),
+        (text + lines[-1] + "\n", len(lines) + 1, "extra record"),
+        ("\n".join(lines[:-1]) + "\n", len(lines), "missing strip"),
+        (edit(1, lines[1] + " 7"), 2, "has 4 fields, got 5"),
+        (edit(0, "exchange T_phi one 2"), 1, "non-integer token"),
+        (edit(2, " ".join(strip[:2] + ["1", "0"] + strip[4:])), 3,
+         "zero denominator"),
+        (edit(2, " ".join(strip[:1] + ["10x1"] + strip[2:])), 3,
+         "flags must be four 0/1 digits"),
+    ]
+
+
 def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_exchange("bogus 1 2 3\n")
+    assert issubclass(ParseError, ValueError)
+    for text, line, why in _garbage_cases():
+        with pytest.raises(ParseError, match=f"^line {line}: .*{why}"):
+            parse_exchange(text)
 
 
 def test_svg_polygon_count(base):
@@ -131,3 +170,13 @@ def test_cli_usage_errors_exit_2(capsys):
         run([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_cli_import_leaves_sympy_out():
+    # sympy is loaded only by the theorem1 and verify commands
+    src = os.path.dirname(os.path.dirname(phiplane.__file__))
+    probe = "import sys, phiplane.cli; print('sympy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -2,14 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from phiplane.exchange import (INV_PHI2, PAPER_STATED_Z, T_PHI_DRIFT,
-                               BoundaryError, ExchangeError,
+from phiplane.exchange import (INV_PHI2, PAPER_STATED_Z, T_PHI, T_PHI_DRIFT,
+                               BaseMap, BoundaryError, ExchangeError,
                                OutsideDomainError, Point, apply_T_phi,
                                build_base_exchange, build_translation_exchange,
                                check_projection_witness, exchange_tower,
                                projection_witness, psi, psi_inverse,
                                rational_dependence, renormalization_checks,
-                               renormalize, sample_points, strip_apply_T_phi,
+                               renormalize, sample_points, strip_image,
                                strip_psi_inverse, witness_interval)
 from phiplane import fastorbit
 from phiplane.fastorbit import (BaseExchangeOrbit, CompiledExchange,
@@ -39,6 +39,16 @@ def test_T_phi_is_a_shear_plus_translation():
     q = apply_T_phi(p)
     assert q.x == p.x + INV_PHI2
     assert q.y == p.y + p.x + T_PHI_DRIFT
+    assert (T_PHI.alpha, T_PHI.beta, T_PHI.k) == (INV_PHI2, T_PHI_DRIFT, 1)
+
+
+@pytest.mark.parametrize("base_map", [
+    T_PHI, BaseMap(phi_power(-2), phi_power(-3))], ids=["T_phi", "translation"])
+def test_base_map_inverse_round_trip(base_map):
+    for p in (Point(QPhi(1), QPhi(2)),
+              Point(QPhi(Fraction(1, 3), Fraction(-2, 5)), QPhi(0, Fraction(7, 4)))):
+        assert base_map.apply_inverse(base_map.apply(p)) == p
+        assert base_map.apply(base_map.apply_inverse(p)) == p
 
 
 def test_psi_inverse_inverts_psi():
@@ -80,7 +90,7 @@ def test_literal_reading_fails_witness():
 def test_strip_transport_matches_point_maps(base):
     pts = sample_points(base, 6, seed=2)
     for s in base.piece(1).region.strips:
-        img = strip_apply_T_phi(s)
+        img = strip_image(s, INV_PHI2, T_PHI_DRIFT, 1)
         rev = strip_psi_inverse(s)
         for p in pts:
             if s.contains(p.x, p.y):

@@ -7,7 +7,7 @@ from phiplane.exchange import (Point, build_base_exchange,
                                sample_points)
 from phiplane.fastorbit import BaseExchangeOrbit
 from phiplane.field import ONE, QPhi, ZERO, phi_power
-from phiplane.refine import (complexity_csv_rows, complexity_table,
+from phiplane.refine import (complexity_table,
                              language_from_refinement, matching_horizon,
                              max_cell_area, preimage, refine,
                              refinement_chain, three_distance_gaps)
@@ -67,8 +67,9 @@ def test_translation_complexity_is_square(translation):
 
 
 def test_matching_horizon_along_tower():
-    tower = exchange_tower(4)
-    assert [matching_horizon(E, cap=8) for E in tower] == [1, 2, 4, 7]
+    tower = exchange_tower(5)
+    assert [matching_horizon(E, cap=8) for E in tower[:4]] == [1, 2, 4, 7]
+    assert matching_horizon(tower[4], cap=12) == 12
 
 
 def test_language_from_refinement_consistent(base):
@@ -79,19 +80,24 @@ def test_language_from_refinement_consistent(base):
     assert lang.complexity(0) == 1
 
 
-def test_preimage_is_exact(base):
-    # p maps into R under the branch of its piece iff p lies in the preimage
-    cells = refine(base, 1)
-    target = cells[0].region
-    pts = sample_points(base, 40, seed=5)
-    for p in pts:
-        label, q = base.step(p)
-        pre = preimage(base, label, target)
-        assert target.contains(q.x, q.y) == pre.contains(p.x, p.y)
+@pytest.mark.parametrize("depth", [1, 3])
+@pytest.mark.parametrize("which", ["level1", "level4", "translation"])
+def test_preimage_is_exact(which, depth, base, translation):
+    # p maps into a cell under the branch of its piece iff p lies in the
+    # preimage of that cell under that branch
+    E = (exchange_tower(4)[-1] if which == "level4"
+         else {"level1": base, "translation": translation}[which])
+    steps = [(p, *E.step(p)) for p in sample_points(E, 40, seed=5)]
+    for cell in refine(E, depth):
+        pre = {piece.label: preimage(E, piece.label, cell.region)
+               for piece in E.pieces}
+        for p, label, q in steps:
+            assert cell.region.contains(q.x, q.y) == \
+                pre[label].contains(p.x, p.y)
 
 
 def test_max_cell_area_decreases(base):
-    areas = [max_cell_area(base, n) for n in range(1, 6)]
+    areas = [max_cell_area(cells) for cells in refinement_chain(base, 5)]
     for a, b in zip(areas, areas[1:]):
         assert b <= a
     assert areas[-1] < areas[0]
@@ -111,10 +117,4 @@ def test_three_distance_bounds_translation_cells(translation):
     n = 3
     gx = three_distance_gaps(phi_power(-2), n)[-1]
     gy = three_distance_gaps(phi_power(-3), n)[-1]
-    assert max_cell_area(translation, n + 1) <= gx * gy
-
-
-def test_complexity_csv_rows(base):
-    rows = complexity_csv_rows(1, complexity_table(base, 3))
-    assert rows[0] == (1, 1, 2)
-    assert all(r[0] == 1 for r in rows)
+    assert max_cell_area(refine(translation, n + 1)) <= gx * gy
