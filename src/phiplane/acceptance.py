@@ -20,8 +20,8 @@ from .exchange import (PAPER_STATED_Z, PieceExchange, build_base_exchange,
                        renormalize, sample_points)
 from .fastorbit import BaseExchangeOrbit
 from .field import PHI, QPhi, ZERO, phi_power
-from .refine import (complexity_table, language_from_refinement,
-                     matching_horizon, max_cell_area, refinement_chain)
+from .refine import (chain_language, complexity_table, horizon_chain,
+                     max_cell_area, refinement_chain)
 
 
 class _Cache:
@@ -160,20 +160,24 @@ def check_theorem2_desk_scale(langa_levels: int = 8,
                               m_levels: int = 10) -> tuple[bool, str]:
     """Low complexity at high level, the language recursion, and M(N)."""
     tower = _cache.tower(m_levels)
-    table = complexity_table(tower[9], 5)
+    # one refinement run per level: depth 6 for the languages, deeper
+    # only as far as the matching horizon needs
+    runs = [horizon_chain(E, 12, min_depth=6) for E in tower]
+    top = runs[9][1]
+    table = [(k, len(cells)) for k, cells in enumerate(top[:5], start=1)]
     if table != [(k, k + 1) for k in range(1, 6)]:
         return False, f"level-10 complexity {table}"
     fib = words.fibonacci_language(6)
-    lang10 = language_from_refinement(tower[9], 6)
+    lang10 = chain_language(tower[9], top[:6])
     if lang10.words != fib.words:
         return False, "level-10 language differs from the Fibonacci language"
-    langs = [language_from_refinement(E, 6)
-             for E in tower[:langa_levels + 1]]
+    langs = [chain_language(E, chain[:6])
+             for E, (_, chain) in zip(tower[:langa_levels + 1], runs)]
     for N in range(langa_levels):
         expect = words.iterate_step(langs[N], words.FIBONACCI, 6)
         if langs[N + 1].words != expect.words:
             return False, f"language recursion fails at level {N + 1}"
-    mmap = [matching_horizon(E, 12) for E in tower[:m_levels]]
+    mmap = [m for m, _ in runs]
     if any(b < a for a, b in zip(mmap, mmap[1:])):
         return False, f"M(N) not non-decreasing: {mmap}"
     return True, f"M(N) for N=1..{m_levels}: {mmap}"

@@ -131,7 +131,7 @@ def run(argv: list[str]) -> int:
             emit(f"{n},{p}")
     elif args.command == "theorem1":
         _positive(ap, n=args.n)
-        from . import scenarios     # sympy loads only for this command
+        from . import scenarios     # loaded only by this command
         for sc in scenarios.enumerate_scenarios(args.n):
             emit(scenarios.scenario_report(sc))
             emit("")
@@ -143,7 +143,7 @@ def run(argv: list[str]) -> int:
         _positive(ap, level=args.level)
         emit(exchange_svg(exchange_tower(args.level)[-1]).rstrip("\n"))
     elif args.command == "verify":
-        from . import acceptance    # imports sympy through scenarios
+        from . import acceptance    # loaded only by this command
         ok = acceptance.run_all(emit)
         _write(args.output, lines)
         return EXIT_OK if ok else EXIT_CHECK_FAILED

@@ -84,11 +84,15 @@ def complexity_table(exchange: PieceExchange, max_n: int) -> list[tuple[int, int
 
 def language_from_refinement(exchange: PieceExchange, max_n: int) -> Language:
     """Factorial language of the coding, words up to length max_n."""
+    return chain_language(exchange, refinement_chain(exchange, max_n))
+
+
+def chain_language(exchange: PieceExchange,
+                   chain: list[list[Cell]]) -> Language:
+    """The language of the words of a refinement chain's cells."""
     m = max(p.label for p in exchange.pieces)
-    words: set[Word] = set()
-    for cells in refinement_chain(exchange, max_n):
-        words.update(c.word for c in cells)
-    return Language.from_words(words, m, max_n)
+    words = {c.word for cells in chain for c in cells}
+    return Language.from_words(words, m, len(chain))
 
 
 def matching_horizon(exchange: PieceExchange, cap: int = 12) -> int:
@@ -96,12 +100,25 @@ def matching_horizon(exchange: PieceExchange, cap: int = 12) -> int:
 
     Refinement stops at the first depth whose count differs from k+1.
     """
-    m = 0
-    for k, cells in enumerate(islice(_depths(exchange), cap), start=1):
-        if len(cells) != k + 1:
+    return horizon_chain(exchange, cap)[0]
+
+
+def horizon_chain(exchange: PieceExchange, cap: int = 12,
+                  min_depth: int = 0) -> tuple[int, list[list[Cell]]]:
+    """`matching_horizon(exchange, cap)` with the depths refined for it.
+
+    The chain goes on to min_depth if the horizon stops short of it, so
+    one refinement run also serves a language or a complexity table.
+    """
+    m, chain = 0, []
+    for k, cells in enumerate(islice(_depths(exchange), max(cap, min_depth)),
+                              start=1):
+        chain.append(cells)
+        if m == k - 1 and k <= cap and len(cells) == k + 1:
+            m = k
+        elif k >= min_depth:
             break
-        m = k
-    return m
+    return m, chain
 
 
 def three_distance_gaps(alpha: QPhi, n: int) -> list[QPhi]:

@@ -1,25 +1,117 @@
-"""Symbolic replay of the transition case analyses for torus translations.
+"""Exact replay of the transition case analyses for torus translations.
 
 A scenario fixes which pieces of a rectangle exchange map into which,
 with one piece split into two sub-pieces.  Measure preservation turns
 each scenario into linear equalities between piece measures; exact
 elimination then forces an integer combination of the translation
 components r and s, contradicting ergodicity.  Shifts are kept as free
-integer symbols so every conclusion holds for all shift assignments.
+integer names so every conclusion holds for all shift assignments.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-
-import sympy as sp
+from math import lcm, prod
+from typing import Mapping
 
 Source = str            # "1a", "1b" or a piece number as text
+Monomial = tuple[str, ...]      # sorted names
+Coeff = int | Fraction
 
 
 class ScenarioError(ValueError):
     """Ill-formed or inconsistent transition scenario."""
+
+
+class Poly:
+    """A polynomial with exact rational coefficients over named symbols.
+
+    It carries only what the scenario analysis needs: sums, differences,
+    scalar and polynomial products, and substitution of numbers for
+    names.  `str` prints the expanded form that the `theorem1` reports
+    use, byte for byte; those polynomials have integer coefficients and
+    no squares.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping[Monomial, Coeff] | None = None) -> None:
+        self.terms = {m: c for m, c in (terms or {}).items() if c}
+
+    @classmethod
+    def symbol(cls, name: str) -> Poly:
+        return cls({(name,): 1})
+
+    @classmethod
+    def const(cls, c: Coeff) -> Poly:
+        return cls({(): c})
+
+    def __add__(self, other: Poly) -> Poly:
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out.get(m, 0) + c
+        return Poly(out)
+
+    def __neg__(self) -> Poly:
+        return Poly({m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other: Poly) -> Poly:
+        return self + -other
+
+    def __mul__(self, other: Poly | Coeff) -> Poly:
+        if not isinstance(other, Poly):
+            return Poly({m: c * other for m, c in self.terms.items()})
+        out: dict[Monomial, Coeff] = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = tuple(sorted(m1 + m2))
+                out[m] = out.get(m, 0) + c1 * c2
+        return Poly(out)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Poly) and self.terms == other.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def coeff(self, monomial: Monomial) -> Coeff:
+        return self.terms.get(monomial, 0)
+
+    def subs(self, values: Mapping[str, Coeff]) -> Poly:
+        """Substitute numbers for some of the names."""
+        out: dict[Monomial, Coeff] = {}
+        for m, c in self.terms.items():
+            rest = tuple(n for n in m if n not in values)
+            c *= prod(values[n] for n in m if n in values)
+            out[rest] = out.get(rest, 0) + c
+        return Poly(out)
+
+    def value(self, values: Mapping[str, Coeff]) -> Fraction:
+        """The number this is when every name has a value."""
+        return Fraction(sum(c * prod(values[n] for n in m)
+                            for m, c in self.terms.items()))
+
+    def denominator(self) -> int:
+        """The lcm of the coefficient denominators."""
+        return lcm(*(Fraction(c).denominator for c in self.terms.values()))
+
+    def __str__(self) -> str:
+        # terms by exponent vector over the sorted names, in descending lex
+        # order, so the constant term comes last
+        names = sorted({n for m in self.terms for n in m})
+        parts: list[str] = []
+        for m in sorted(self.terms, reverse=True,
+                        key=lambda m: [m.count(n) for n in names]):
+            c = self.terms[m]
+            factors = list(m) if abs(c) == 1 and m else [str(abs(c)), *m]
+            parts += ["-" if c < 0 else "+", "*".join(factors)]
+        if not parts:
+            return "0"
+        return ("-" if parts[0] == "-" else "") + " ".join(parts[1:])
+
+    def __repr__(self) -> str:
+        return f"Poly({self})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,121 +151,140 @@ class Scenario:
 
 @dataclass(frozen=True)
 class MeasureSystem:
-    """Measure variables with their linear equalities and r, s expressions."""
+    """Measure names with their linear equalities and r, s expressions."""
 
-    variables: tuple[sp.Symbol, ...]
-    equalities: tuple[sp.Expr, ...]       # each expression == 0
-    r_expr: sp.Expr
-    s_expr: sp.Expr
-    shift_symbols: tuple[sp.Symbol, ...]
+    variables: tuple[str, ...]       # sorted sources, "a" + source
+    equalities: tuple[Poly, ...]     # each polynomial == 0
+    r_expr: Poly
+    s_expr: Poly
 
 
 @dataclass(frozen=True)
 class IntegerRelation:
     """coeff_r * r + coeff_s * s = constant, an identity in the shifts."""
 
-    coeff_r: sp.Expr
-    coeff_s: sp.Expr
-    constant: sp.Expr
+    coeff_r: Poly
+    coeff_s: Poly
+    constant: Poly
 
     def is_nonzero(self) -> bool:
-        return sp.expand(self.coeff_r) != 0 or sp.expand(self.coeff_s) != 0
+        return bool(self.coeff_r) or bool(self.coeff_s)
 
-    def evaluate(self, shifts: dict[sp.Symbol, int],
-                 r: float, s: float) -> float:
-        cr = float(self.coeff_r.subs(shifts))
-        cs = float(self.coeff_s.subs(shifts))
-        c0 = float(self.constant.subs(shifts))
+    def evaluate(self, shifts: Mapping[str, int], r: Coeff,
+                 s: Coeff) -> Fraction:
+        """coeff_r*r + coeff_s*s - constant at integer shifts, exactly."""
+        cr, cs, c0 = (p.value(shifts)
+                      for p in (self.coeff_r, self.coeff_s, self.constant))
         return cr * r + cs * s - c0
 
 
-def _measure_symbol(scenario: Scenario, src: Source) -> sp.Symbol:
-    return sp.Symbol(f"a{src}", positive=True)
-
-
-def shift_symbols(piece_count: int) -> tuple[list[sp.Symbol], list[sp.Symbol]]:
-    ns = [sp.Symbol(f"n{i}", integer=True) for i in range(1, piece_count + 1)]
-    ms = [sp.Symbol(f"m{i}", integer=True) for i in range(1, piece_count + 1)]
-    return ns, ms
+def shift_names(piece_count: int) -> tuple[list[str], list[str]]:
+    return ([f"n{i}" for i in range(1, piece_count + 1)],
+            [f"m{i}" for i in range(1, piece_count + 1)])
 
 
 def derive_constraints(scenario: Scenario) -> MeasureSystem:
     """Measure equalities forced by the transitions.
 
     The transition targets cover every source, so for each target piece
-    the source measures sum exactly to the target measure.
+    the source measures sum exactly to the target measure.  The system
+    is always consistent: following one source out of every piece ends
+    in a cycle, and equal measures on that cycle's sources (zero
+    elsewhere) solve it.
     """
     sources = sorted(scenario._expected_sources())
-    sym = {src: _measure_symbol(scenario, src) for src in sources}
+    sym = {src: Poly.symbol(f"a{src}") for src in sources}
 
-    def piece_measure(i: int) -> sp.Expr:
+    def piece_measure(i: int) -> Poly:
         if i == scenario.refining_piece:
             return sym[f"{i}a"] + sym[f"{i}b"]
         return sym[str(i)]
 
-    eqs: list[sp.Expr] = []
+    eqs: list[Poly] = []
     if scenario.transitions:
         for j in range(1, scenario.piece_count + 1):
             inflow = sum((sym[src] for src, tgt in scenario.transitions.items()
-                          if tgt == j), sp.Integer(0))
-            eqs.append(sp.expand(inflow - piece_measure(j)))
-    eqs.append(sp.expand(sum(sym.values()) - 1))
+                          if tgt == j), Poly())
+            eqs.append(inflow - piece_measure(j))
+    eqs.append(sum(sym.values(), Poly()) - Poly.const(1))
 
-    ns, ms = shift_symbols(scenario.piece_count)
-    r_expr = sum(sym[src] * ns[scenario.source_piece(src) - 1] for src in sources)
-    s_expr = sum(sym[src] * ms[scenario.source_piece(src) - 1] for src in sources)
+    ns, ms = shift_names(scenario.piece_count)
+    r_expr = sum((sym[src] * Poly.symbol(ns[scenario.source_piece(src) - 1])
+                  for src in sources), Poly())
+    s_expr = sum((sym[src] * Poly.symbol(ms[scenario.source_piece(src) - 1])
+                  for src in sources), Poly())
 
-    variables = tuple(sym[src] for src in sources)
-    system = MeasureSystem(variables, tuple(e for e in eqs if e != 0),
-                           sp.expand(r_expr), sp.expand(s_expr),
-                           tuple(ns + ms))
-    if not sp.linsolve(list(system.equalities), list(variables)):
-        raise ScenarioError(f"{scenario.name}: inconsistent measure equations")
-    return system
+    return MeasureSystem(tuple(f"a{src}" for src in sources),
+                         tuple(e for e in eqs if e), r_expr, s_expr)
+
+
+def solve_measures(system: MeasureSystem) -> dict[str, Poly]:
+    """Every measure as an affine form in the free ones, exactly.
+
+    Gauss-Jordan elimination over Fraction with the columns in
+    `system.variables` order; the free measures are the non-pivot
+    columns, and each of them maps to itself.
+    """
+    names = system.variables
+    rows = [[Fraction(e.coeff((v,))) for v in names] + [-Fraction(e.coeff(()))]
+            for e in system.equalities]
+    pivots: list[int] = []
+    for col in range(len(names)):
+        top = len(pivots)
+        p = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[top], rows[p] = rows[p], rows[top]
+        piv = rows[top][col]
+        rows[top] = pivot_row = [x / piv if x else x for x in rows[top]]
+        for i, row in enumerate(rows):
+            if i != top and row[col]:
+                f = row[col]
+                rows[i] = [a - f * b if b else a
+                           for a, b in zip(row, pivot_row)]
+        pivots.append(col)
+    if any(row[-1] for row in rows[len(pivots):]):
+        raise ScenarioError("inconsistent measure equations")
+    free = [c for c in range(len(names)) if c not in pivots]
+    sol = {names[c]: Poly.symbol(names[c]) for c in free}
+    for row, c in zip(rows, pivots):
+        sol[names[c]] = sum((Poly.symbol(names[f]) * -row[f] for f in free),
+                            Poly.const(row[-1]))
+    return {v: sol[v] for v in names}
 
 
 def detect_dependence(system: MeasureSystem) -> IntegerRelation:
     """Eliminate the measures and return the forced relation on r and s.
 
     The equalities must cut the solution set down to at most one free
-    measure parameter; the relation then has integer coefficients in the
-    shift symbols after clearing denominators.
+    measure parameter tau; then r = cr + dr*tau and s = cs + ds*tau, and
+    ds*r - dr*s no longer depends on tau.  The relation has integer
+    coefficients in the shift names after clearing denominators.
     """
-    vs = list(system.variables)
-    sol = sp.linsolve(list(system.equalities), vs)
-    if not sol:
-        raise ScenarioError("inconsistent system")
-    expr = list(sol)[0]
-    subs = dict(zip(vs, expr))
-    free = sorted({v for e in expr for v in e.free_symbols if v in vs},
-                  key=lambda v: v.name)
+    sol = solve_measures(system)
+    free = sorted({n for p in sol.values() for m in p.terms for n in m})
     if len(free) > 1:
         raise ScenarioError(f"no forced relation: {len(free)} free measures")
-    r = sp.expand(system.r_expr.subs(subs))
-    s = sp.expand(system.s_expr.subs(subs))
-    if not free:
-        # fully determined: r itself is an integer combination of shifts
-        return _clear(sp.Integer(1), sp.Integer(0), r)
-    tau = free[0]
-    dr = sp.expand(sp.diff(r, tau))
-    ds = sp.expand(sp.diff(s, tau))
-    cr = sp.expand(r - dr * tau)
-    cs = sp.expand(s - ds * tau)
-    if dr == 0:
-        return _clear(sp.Integer(1), sp.Integer(0), cr)
-    if ds == 0:
-        return _clear(sp.Integer(0), sp.Integer(1), cs)
-    # ds*r - dr*s no longer depends on the free measure
-    return _clear(ds, -dr, sp.expand(ds * cr - dr * cs))
+
+    def at(monomial: Monomial) -> tuple[Poly, Poly]:
+        # r and s are linear in the measures: substitute one coefficient
+        values = {v: p.coeff(monomial) for v, p in sol.items()}
+        return system.r_expr.subs(values), system.s_expr.subs(values)
+
+    cr, cs = at(())
+    dr, ds = at((free[0],)) if free else (Poly(), Poly())
+    if not dr:
+        return _clear(Poly.const(1), Poly(), cr)
+    if not ds:
+        return _clear(Poly(), Poly.const(1), cs)
+    return _clear(ds, -dr, ds * cr - dr * cs)
 
 
-def _clear(cr: sp.Expr, cs: sp.Expr, c0: sp.Expr) -> IntegerRelation:
-    denom = sp.Integer(1)
-    for e in (cr, cs, c0):
-        _, d = sp.fraction(sp.together(e))
-        denom = sp.lcm(denom, d)
-    return IntegerRelation(sp.expand(cr * denom), sp.expand(cs * denom),
-                           sp.expand(c0 * denom))
+def _clear(cr: Poly, cs: Poly, c0: Poly) -> IntegerRelation:
+    # scale by the lcm of all denominators, keeping any common content
+    d = lcm(cr.denominator(), cs.denominator(), c0.denominator())
+    return IntegerRelation(*(Poly({m: int(c * d) for m, c in p.terms.items()})
+                             for p in (cr, cs, c0)))
 
 
 def _chain(pairs: list[tuple[Source, int]]) -> dict[Source, int]:

@@ -136,6 +136,17 @@ def test_cli_theorem1_reports(capsys):
     assert out.count("forced relation") == 3
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_cli_theorem1_golden_bytes(capsys, n):
+    # reports recorded from the sympy implementation of the scenarios
+    golden = os.path.join(os.path.dirname(__file__), "data",
+                          f"theorem1_n{n}.txt")
+    with open(golden, newline="") as fh:
+        want = fh.read()
+    code, out, err = run_capture(capsys, ["theorem1", "--n", str(n)])
+    assert (code, out, err) == (0, want, "")
+
+
 def test_cli_language_converges(capsys):
     code, out, _ = run_capture(capsys, ["language", "--seed-lang", "min",
                                         "--iters", "12", "--max-len", "6"])
@@ -173,9 +184,14 @@ def test_cli_usage_errors_exit_2(capsys):
 
 
 def test_cli_import_leaves_sympy_out():
-    # sympy is loaded only by the theorem1 and verify commands
+    # no phiplane module, scenarios and acceptance included, loads sympy
     src = os.path.dirname(os.path.dirname(phiplane.__file__))
-    probe = "import sys, phiplane.cli; print('sympy' in sys.modules)"
+    probe = ("import importlib, pkgutil, sys, phiplane\n"
+             "names = [m.name for m in pkgutil.iter_modules(phiplane.__path__)]\n"
+             "assert {'cli', 'scenarios', 'acceptance'} <= set(names)\n"
+             "for name in names:\n"
+             "    importlib.import_module('phiplane.' + name)\n"
+             "print('sympy' in sys.modules)")
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True).stdout

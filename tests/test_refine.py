@@ -7,7 +7,7 @@ from phiplane.exchange import (Point, build_base_exchange,
                                sample_points)
 from phiplane.fastorbit import BaseExchangeOrbit
 from phiplane.field import ONE, QPhi, ZERO, phi_power
-from phiplane.refine import (complexity_table,
+from phiplane.refine import (complexity_table, horizon_chain,
                              language_from_refinement, matching_horizon,
                              max_cell_area, preimage, refine,
                              refinement_chain, three_distance_gaps)
@@ -70,6 +70,19 @@ def test_matching_horizon_along_tower():
     tower = exchange_tower(5)
     assert [matching_horizon(E, cap=8) for E in tower[:4]] == [1, 2, 4, 7]
     assert matching_horizon(tower[4], cap=12) == 12
+
+
+def test_horizon_chain_serves_horizon_and_language():
+    # one run gives the horizon and at least min_depth depths
+    def words(chain):
+        return [[c.word for c in cells] for cells in chain]
+    for E, want in zip(exchange_tower(4), [1, 2, 4, 7]):
+        m, chain = horizon_chain(E, 8, min_depth=6)
+        assert m == want
+        assert len(chain) == max(6, m + 1)
+        assert words(chain) == words(refinement_chain(E, len(chain)))
+    assert horizon_chain(E, 3, min_depth=5) == (3, refinement_chain(E, 5))
+    assert horizon_chain(E, 0) == (0, [])
 
 
 def test_language_from_refinement_consistent(base):
