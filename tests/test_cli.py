@@ -68,6 +68,10 @@ def _garbage_cases():
          "zero denominator"),
         (edit(2, " ".join(strip[:1] + ["10x1"] + strip[2:])), 3,
          "flags must be four 0/1 digits"),
+        (edit(2, " ".join(strip[:22] + ["7", "1", "0", "1"] + strip[26:])), 3,
+         "strip bounds do not share c2"),
+        (edit(2, " ".join(strip[:2] + strip[6:10] + strip[2:6] + strip[10:])),
+         3, "strip needs x_lo < x_hi"),
     ]
 
 

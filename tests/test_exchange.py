@@ -1,20 +1,24 @@
+import functools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phiplane.exchange import (INV_PHI2, PAPER_STATED_Z, T_PHI, T_PHI_DRIFT,
                                BaseMap, BoundaryError, ExchangeError,
-                               OutsideDomainError, Point, apply_T_phi,
-                               build_base_exchange, build_translation_exchange,
+                               OutsideDomainError, PieceExchange, Point,
+                               apply_T_phi, build_base_exchange,
+                               build_translation_exchange,
                                check_projection_witness, exchange_tower,
                                projection_witness, psi, psi_inverse,
                                rational_dependence, renormalization_checks,
                                renormalize, sample_points, strip_image,
                                strip_psi_inverse, witness_interval)
 from phiplane import fastorbit
-from phiplane.fastorbit import (BaseExchangeOrbit, CompiledExchange,
-                                compile_exchange)
+from phiplane.fastorbit import CompiledExchange
 from phiplane.field import HALF, PHI, QPhi, ZERO, phi_power, sgn_pair
+from phiplane.geometry import Region
 
 
 @pytest.fixture(scope="module")
@@ -202,36 +206,101 @@ def test_sgn_pair_matches_exact():
         assert sgn_pair(-f1, f0) == QPhi(-f1, f0).sign() == _approx_sign(-f1, f0)
 
 
+def _slow_code(E, p, n):
+    word = []
+    for _ in range(n):
+        label, p = E.step(p)
+        word.append(label)
+    return tuple(word)
+
+
 def test_fast_orbit_agreement(base):
-    ce = compile_exchange(base)
-    bo = BaseExchangeOrbit()
     for p in sample_points(base, 3, seed=11):
-        q = p
-        slow = []
-        for _ in range(250):
-            label, q = base.step(q)
-            slow.append(label)
-        assert ce.code_orbit(p, 250) == tuple(slow)
-        assert bo.code_orbit(p, 250) == tuple(slow)
+        assert base.compiled.code_orbit(p, 250) == _slow_code(base, p, 250)
 
 
 def test_fast_orbit_translation(base):
     E = build_translation_exchange(phi_power(-2), phi_power(-3),
                                   check_independence=False)
-    ce = compile_exchange(E)
     p = Point(QPhi(Fraction(1, 7)), QPhi(Fraction(2, 7)))
-    q = p
-    slow = []
-    for _ in range(300):
-        label, q = E.step(q)
-        slow.append(label)
-    assert ce.code_orbit(p, 300) == tuple(slow)
+    assert E.compiled.code_orbit(p, 300) == _slow_code(E, p, 300)
+
+
+def _closed_translation() -> PieceExchange:
+    """The translation exchange with every edge closed: neighbouring
+    pieces share their edges, where the earlier piece must win."""
+    E = build_translation_exchange(phi_power(-2), phi_power(-3),
+                                   check_independence=False)
+    return replace(E, pieces=tuple(
+        replace(p, region=Region(tuple(
+            replace(s, hi_closed=True, upper_closed=True)
+            for s in p.region.strips)))
+        for p in E.pieces))
+
+
+_ORBIT_CASES = {
+    "level 1": lambda: exchange_tower(1)[-1],
+    "level 4": lambda: exchange_tower(4)[-1],
+    "level 8": lambda: exchange_tower(8)[-1],
+    "translation": lambda: build_translation_exchange(
+        phi_power(-2), phi_power(-3), check_independence=False),
+    "closed translation": _closed_translation,
+}
+
+
+@functools.cache
+def _orbit_case(name: str):
+    """The exchange and its exact start points: inside a strip, with x
+    on a strip endpoint, and with y on a strip bound."""
+    E = _ORBIT_CASES[name]()
+    strips = [s for p in E.pieces for s in p.region.strips]
+    ends = sorted({x for s in strips for x in (s.x_lo, s.x_hi)})
+    unit = st.fractions(0, 1, max_denominator=12)
+    inner = unit.filter(lambda t: 0 < t < 1)
+
+    def at(s, x, u):
+        lo, hi = s.lower(x), s.upper(x)
+        return Point(x, lo + (hi - lo) * QPhi(u))
+
+    def across(s, t):
+        return s.x_lo + (s.x_hi - s.x_lo) * QPhi(t)
+
+    def on_end(x):
+        touching = [s for s in strips if s.x_lo <= x <= s.x_hi]
+        return st.builds(lambda s, u: at(s, x, u),
+                         st.sampled_from(touching), unit)
+
+    strip = st.sampled_from(strips)
+    starts = st.one_of(
+        st.builds(lambda s, t, u: at(s, across(s, t), u), strip, inner, inner),
+        st.sampled_from(ends).flatmap(on_end),
+        st.builds(lambda s, t, u: at(s, across(s, t), u), strip, unit,
+                  st.sampled_from([Fraction(0), Fraction(1)])))
+    return E, starts
+
+
+def _outcome(code, *args):
+    try:
+        return code(*args)
+    except ExchangeError as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("name", list(_ORBIT_CASES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compiled_stepper_matches_slow(name, data):
+    E, starts = _orbit_case(name)
+    p = data.draw(starts)
+    slow = _outcome(_slow_code, E, p, 25)
+    assert slow in (BoundaryError, OutsideDomainError) or len(slow) == 25
+    assert _outcome(E.compiled.code_orbit, p, 25) == slow
 
 
 def test_orbit_in_domain_flags_outside(base):
-    bo = BaseExchangeOrbit()
-    assert bo.orbit_in_domain(sample_points(base, 1, seed=3)[0], 2000)
-    assert not bo.orbit_in_domain(Point(QPhi(10), QPhi(10)), 5)
+    ce = base.compiled
+    assert ce.orbit_in_domain(sample_points(base, 1, seed=3)[0], 2000)
+    assert not ce.orbit_in_domain(Point(QPhi(10), QPhi(10)), 5)
 
 
 def test_code_orbit_entry_point(base):
@@ -251,11 +320,7 @@ def test_code_orbit_compiles_once(monkeypatch):
     monkeypatch.setattr(CompiledExchange, "__init__", counted)
     for p in sample_points(E, 3, seed=17):
         first, second = E.code_orbit(p, 80), E.code_orbit(p, 80)
-        q, slow = p, []
-        for _ in range(80):
-            label, q = E.step(q)
-            slow.append(label)
-        assert first == second == tuple(slow)
+        assert first == second == _slow_code(E, p, 80)
     assert compiles == [E]
-    assert compile_exchange(E) is E.compiled
+    assert E.compiled is E.compiled
     assert compiles == [E]

@@ -5,7 +5,6 @@ import pytest
 from phiplane.exchange import (Point, build_base_exchange,
                                build_translation_exchange, exchange_tower,
                                sample_points)
-from phiplane.fastorbit import BaseExchangeOrbit
 from phiplane.field import ONE, QPhi, ZERO, phi_power
 from phiplane.refine import (complexity_table, horizon_chain,
                              language_from_refinement, matching_horizon,
@@ -55,9 +54,8 @@ def test_cell_words_cover_orbit_factors(base):
     # every factor observed along long orbits must be a positive-area cell
     depth = 6
     words = {c.word for c in refine(base, depth)}
-    bo = BaseExchangeOrbit()
     for p in sample_points(base, 5, seed=21):
-        code = bo.code_orbit(p, 4000)
+        code = base.compiled.code_orbit(p, 4000)
         assert factors(code, depth) <= words
 
 

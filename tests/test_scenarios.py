@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from phiplane.exchange import Point, build_translation_exchange
-from phiplane.fastorbit import compile_exchange
 from phiplane.field import QPhi, phi_power
 from phiplane.scenarios import (MeasureSystem, Poly, Scenario, ScenarioError,
                                 all_relations_nonzero, derive_constraints,
@@ -258,9 +257,8 @@ def test_orbit_frequencies_match_translation():
     # sum_i freq(i) * shift_i approximates (alpha, beta)
     alpha, beta = phi_power(-2), phi_power(-3)
     E = build_translation_exchange(alpha, beta, check_independence=False)
-    ce = compile_exchange(E)
     p = Point(QPhi(Fraction(1, 97)), QPhi(Fraction(2, 89)))
-    code = ce.code_orbit(p, 50000)
+    code = E.compiled.code_orbit(p, 50000)
     n = len(code)
     freq = {label: code.count(label) / n for label in (1, 2, 3, 4)}
     shifts = {q.label: q.shift for q in E.pieces}
