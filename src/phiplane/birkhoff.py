@@ -46,23 +46,6 @@ def birkhoff_sum_direct(x0: QPhi, n: int) -> QPhi:
     return total
 
 
-def display_difference(x0: QPhi, n: int) -> QPhi:
-    """First-display minus second-display y-part of the orbit formula.
-
-    The variant with drift n/(2 phi**3) and centering 1/phi differs from
-    the {x} - 1/2 form by the constant -1/(2 phi**3), every n, because
-    1/phi - 1/2 equals 1/(2 phi**3) exactly.
-    """
-    first = n * DRIFT
-    second = ZERO
-    inv_phi = phi_power(-1)
-    for k in range(n + 1):
-        f = (x0 + k * STEP).frac()
-        first = first + f - inv_phi
-        second = second + f - HALF
-    return first - second
-
-
 def record_maxima(x0: QPhi, N: int) -> list[SumRecord]:
     """All n <= N where |S_n| strictly exceeds every earlier |S_j|."""
     if N < 0:

@@ -1,8 +1,8 @@
-"""Piece exchanges of the plane over an exact base map.
+"""Piece exchanges of the plane and the one map type that builds them.
 
-Covers the two-piece exchange conjugate to the affine nilsystem
-(x, y) -> (x + 1/phi**2, y + x - 1/(2 phi**3)), its renormalization
-step, and the four-rectangle carry exchange over a torus translation.
+`PlaneMap` covers T_phi(x, y) = (x + 1/phi**2, y + x - 1/(2 phi**3)),
+psi, translations, every piece's branch p -> T(p) - (n, m) and their
+inverses and composites; its `image` is the only strip transport.
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Literal, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .field import HALF, ONE, ZERO, QPhi, phi_power
+from .field import HALF, ONE, PHI, ZERO, QPhi, phi_power
 from .geometry import (QuadBound, Region, Strip, area_disjoint, is_subset,
                        strips_from_constraints)
 from .words import Word
@@ -43,52 +43,97 @@ class Point(NamedTuple):
     y: QPhi
 
 
+def _pullback(q: QuadBound, a: QPhi, u: QPhi, s: int = 1) -> QuadBound:
+    """The bound x -> s*q(a*x + u), s = +-1."""
+    c2a = q.c2 * a
+    c = (c2a * a, 2 * c2a * u + q.c1 * a, (q.c2 * u + q.c1) * u + q.c0)
+    return QuadBound(*(c if s > 0 else (-v for v in c)))
+
+
 @dataclass(frozen=True)
-class BaseMap:
-    """The affine shear (x, y) -> (x + alpha, y + beta + k*x).
+class PlaneMap:
+    """(x, y) -> (a*x + u, s*y + q(x)) with a != 0 and s = +-1; a group
+    under `inverse` and `@` (self @ other applies other first)."""
 
-    T_phi is the shear with alpha = 1/phi**2, beta = -1/(2 phi**3) and
-    k = 1; a plane translation has k = 0.
-    """
-
-    alpha: QPhi
-    beta: QPhi
-    k: int = 0
-
-    @property
-    def kind(self) -> Literal["T_phi", "translation"]:
-        return "T_phi" if self.k else "translation"
+    a: QPhi
+    u: QPhi
+    s: int
+    q: QuadBound
 
     def apply(self, p: Point) -> Point:
-        return Point(p.x + self.alpha, p.y + self.beta + self.k * p.x)
+        return Point(self.a * p.x + self.u,
+                     (p.y if self.s > 0 else -p.y) + self.q(p.x))
 
-    def apply_inverse(self, p: Point) -> Point:
-        x = p.x - self.alpha
-        return Point(x, p.y - self.beta - self.k * x)
+    def inverse(self) -> "PlaneMap":
+        """(X, Y) -> (x, s*(Y - q(x))) with x = (X - u)/a."""
+        return self._inverse
+
+    @cached_property
+    def _inverse(self) -> "PlaneMap":
+        ai = self.a.inverse()
+        ui = -self.u * ai
+        return PlaneMap(ai, ui, self.s, _pullback(self.q, ai, ui, -self.s))
+
+    def __matmul__(self, other: "PlaneMap") -> "PlaneMap":
+        # y -> s*(s'*y + q'(x)) + q(a'*x + u')
+        q = _pullback(self.q, other.a, other.u)
+        o = _pullback(other.q, ONE, ZERO, self.s)
+        return PlaneMap(self.a * other.a, self.a * other.u + self.u,
+                        self.s * other.s,
+                        QuadBound(q.c2 + o.c2, q.c1 + o.c1, q.c0 + o.c0))
 
     def image(self, region: Region) -> Region:
-        return region_image(region, self.alpha, self.beta, self.k)
+        """The image of a region, every strip moved once.
+
+        A bound b becomes X -> (s*b + q)(x), x = (X - u)/a: an action on
+        (c2, c1, c0) set up once per call, without its zero terms.  a < 0
+        reverses x-intervals and s < 0 swaps lower and upper bounds,
+        closedness flags included.
+        """
+        a, u, s, inv = self.a, self.u, self.s, self.inverse()
+        ai, ui, ai2 = inv.a, inv.u, inv.a * inv.a
+        off = _pullback(self.q, ai, ui)
+        off = [(i, c) for i, c in enumerate((off.c2, off.c1, off.c0)) if c]
+        scaled, moved, flip = a != ONE, bool(u), a.sign() < 0
+
+        def bound(b: QuadBound) -> QuadBound:
+            c2, c1, c0 = b.c2, b.c1, b.c0
+            if moved:           # b(x + ui) = c2 x**2 + (t + m) x + t ui + c0
+                m = c2 * ui
+                t = m + c1
+                c1, c0 = t + m, t * ui + c0
+            if scaled:
+                c2, c1 = c2 * ai2, c1 * ai
+            w = [c2, c1, c0] if s > 0 else [-c2, -c1, -c0]
+            for i, c in off:
+                w[i] = w[i] + c
+            return QuadBound(*w)
+
+        out = []
+        for st in region.strips:
+            x = (st.x_lo, st.x_hi)
+            x = tuple(a * v for v in x) if scaled else x
+            x = tuple(v + u for v in x) if moved else x
+            y = (bound(st.lower), bound(st.upper))
+            fx = (st.lo_closed, st.hi_closed)
+            fy = (st.lower_closed, st.upper_closed)
+            x, fx = (x[::-1], fx[::-1]) if flip else (x, fx)
+            y, fy = (y[::-1], fy[::-1]) if s < 0 else (y, fy)
+            out.append(Strip(*x, *y, *fx, *fy))
+        return Region.of(out)
 
 
-T_PHI = BaseMap(INV_PHI2, T_PHI_DRIFT, 1)
+def translation(u: QPhi, v: QPhi) -> PlaneMap:
+    """The plane translation (x, y) -> (x + u, y + v)."""
+    return PlaneMap(ONE, u, 1, QuadBound(ZERO, ZERO, v))
 
 
-def apply_T_phi(p: Point) -> Point:
-    return T_PHI.apply(p)
-
-
-def psi(p: Point) -> Point:
-    """(x, y) -> (-phi x, -y - phi x**2 / 2 - x / (2 phi))."""
-    phi = QPhi(0, 1)
-    return Point(-phi * p.x,
-                 -p.y - phi * p.x * p.x * HALF - phi_power(-1) * p.x * HALF)
-
-
-def psi_inverse(p: Point) -> Point:
-    """(x, y) -> (-x/phi, -y - x**2/(2 phi) + x/(2 phi**2))."""
-    inv_phi = phi_power(-1)
-    return Point(-p.x * inv_phi,
-                 -p.y - p.x * p.x * inv_phi * HALF + p.x * INV_PHI2 * HALF)
+T_PHI = PlaneMap(ONE, INV_PHI2, 1, QuadBound(ZERO, ONE, T_PHI_DRIFT))
+# psi(x, y) = (-phi x, -y - phi x**2 / 2 - x / (2 phi))
+PSI = PlaneMap(-PHI, ZERO, -1,
+               QuadBound(-PHI * HALF, -phi_power(-1) * HALF, ZERO))
+apply_T_phi = T_PHI.apply
+psi_inverse = PSI.inverse().apply
 
 
 @dataclass(frozen=True)
@@ -100,7 +145,7 @@ class Piece:
 
 @dataclass(frozen=True)
 class PieceExchange:
-    base: BaseMap
+    base: PlaneMap
     pieces: tuple[Piece, ...]
     level: int = 1
 
@@ -109,12 +154,6 @@ class PieceExchange:
             if p.label == label:
                 return p
         raise ExchangeError(f"no piece labelled {label}")
-
-    def domain_area(self) -> QPhi:
-        total = ZERO
-        for p in self.pieces:
-            total = total + p.region.area()
-        return total
 
     def locate(self, p: Point) -> int:
         """Label of the piece containing p; earlier pieces win overlaps."""
@@ -125,11 +164,20 @@ class PieceExchange:
             raise BoundaryError(f"boundary point {p}")
         raise OutsideDomainError(f"point {p} outside the domain")
 
+    def branch(self, label: int) -> PlaneMap:
+        """The map p -> T(p) - (n, m) of piece `label`, T the base map."""
+        if label not in self._branches:
+            raise ExchangeError(f"no piece labelled {label}")
+        return self._branches[label]
+
+    @cached_property
+    def _branches(self) -> dict[int, PlaneMap]:
+        return {p.label: translation(QPhi(-p.shift[0]), QPhi(-p.shift[1]))
+                @ self.base for p in self.pieces}
+
     def step(self, p: Point) -> tuple[int, Point]:
         label = self.locate(p)
-        n, m = self.piece(label).shift
-        t = self.base.apply(p)
-        return label, Point(t.x - n, t.y - m)
+        return label, self.branch(label).apply(p)
 
     @cached_property
     def compiled(self) -> "CompiledExchange":
@@ -142,42 +190,6 @@ class PieceExchange:
 
     def leading_coefficient(self) -> QPhi:
         return self.pieces[0].region.leading_coefficient()
-
-
-# -- strip transport under the construction maps ------------------------
-
-def strip_image(s: Strip, u: QPhi, v: QPhi, k: int = 0) -> Strip:
-    """Image of a strip under the shear (x, y) -> (x + u, y + v + k*x)."""
-    d0 = v - k * u
-    return Strip(s.x_lo + u, s.x_hi + u,
-                 s.lower.shift_x(-u).add_affine(k, d0),
-                 s.upper.shift_x(-u).add_affine(k, d0),
-                 s.lo_closed, s.hi_closed, s.lower_closed, s.upper_closed)
-
-
-def region_image(region: Region, u: QPhi, v: QPhi, k: int = 0) -> Region:
-    return Region.of(strip_image(s, u, v, k) for s in region.strips)
-
-
-def strip_psi_inverse(s: Strip) -> Strip:
-    """Image under psi_inverse: interval reversal, bound swap and flip."""
-    phi = QPhi(0, 1)
-    inv_phi = phi_power(-1)
-    corr1 = -inv_phi * HALF           # coefficient of X in the y-correction
-    # new bounds: -old(-phi X) - phi X**2 / 2 - X / (2 phi)
-    def transport(b: QuadBound) -> QuadBound:
-        flipped = -b.compose_scale(-phi)
-        return QuadBound(flipped.c2 - phi * HALF,
-                         flipped.c1 + corr1,
-                         flipped.c0)
-    return Strip(-s.x_hi * inv_phi, -s.x_lo * inv_phi,
-                 transport(s.upper), transport(s.lower),
-                 lo_closed=s.hi_closed, hi_closed=s.lo_closed,
-                 lower_closed=s.upper_closed, upper_closed=s.lower_closed)
-
-
-def region_psi_inverse(region: Region) -> Region:
-    return Region.of(strip_psi_inverse(s) for s in region.strips)
 
 
 # -- the base exchange of the nilsystem ---------------------------------
@@ -295,8 +307,8 @@ def renormalize(exchange: PieceExchange) -> PieceExchange:
     projection_witness(exchange)  # raises with the violated condition
     d1 = exchange.piece(1).region
     d2 = exchange.piece(2).region
-    d1_new = Region.of(strip_psi_inverse(s) for s in d1.strips + d2.strips)
-    d2_new = T_PHI.image(region_psi_inverse(d1))
+    d1_new = PSI.inverse().image(Region(d1.strips + d2.strips))
+    d2_new = (T_PHI @ PSI.inverse()).image(d1)
     return PieceExchange(
         base=T_PHI,
         pieces=(Piece(1, d1_new, (0, 0)), Piece(2, d2_new, (1, 0))),
@@ -310,14 +322,11 @@ def renormalization_checks(before: PieceExchange,
     d2 = before.piece(2).region
     d1n = after.piece(1).region
     d2n = after.piece(2).region
-    img1 = T_PHI.image(region_psi_inverse(d1))
-    img2 = T_PHI.image(region_psi_inverse(d2))
-    # the branch of piece 2: T, then back by (1, 0)
-    returned = region_image(d2n, INV_PHI2 - ONE, T_PHI_DRIFT, 1)
+    renorm = T_PHI @ PSI.inverse()
     return {
-        "T(psi^-1(D1)) in D2'": is_subset(img1, d2n),
-        "T(psi^-1(D2)) in D1'": is_subset(img2, d1n),
-        "T(D2')-(1,0) in D1'": is_subset(returned, d1n),
+        "T(psi^-1(D1)) in D2'": is_subset(renorm.image(d1), d2n),
+        "T(psi^-1(D2)) in D1'": is_subset(renorm.image(d2), d1n),
+        "T(D2')-(1,0) in D1'": is_subset(after.branch(2).image(d2n), d1n),
         "D1' and D2' area-disjoint": area_disjoint(d1n, d2n),
     }
 
@@ -374,7 +383,7 @@ def build_translation_exchange(alpha: QPhi, beta: QPhi,
         Piece(3, rect(ZERO, ca, cb_bound, one_b), (0, 1)),
         Piece(4, rect(ca, ONE, cb_bound, one_b), (1, 1)),
     )
-    return PieceExchange(base=BaseMap(alpha, beta),
+    return PieceExchange(base=translation(alpha, beta),
                          pieces=pieces, level=1)
 
 

@@ -52,7 +52,15 @@ class CompiledExchange:
         self.exchange = exchange
         d = 1
         self._strips = []
+        self._moves = {}
         for piece in exchange.pieces:
+            br = exchange.branch(piece.label)
+            k, kb, kd = br.q.c1.scaled()
+            if br.a != 1 or br.s != 1 or br.q.c2 or (kb, kd) != (0, 1):
+                raise ExchangeError(f"piece {piece.label}: branch is not an"
+                                    " integer-slope shear")
+            self._moves[piece.label] = (br.u, br.q.c0, k)
+            d = lcm(d, _denoms(br.u), _denoms(br.q.c0))
             for s in piece.region.strips:
                 if s.lower.c2 != s.upper.c2:
                     raise ExchangeError(
@@ -62,8 +70,7 @@ class CompiledExchange:
                           s.upper.c1, s.upper.c0):
                     d = lcm(d, _denoms(v))
                 self._strips.append((piece, s))
-        base = exchange.base
-        self.base_den = lcm(d, _denoms(base.alpha), _denoms(base.beta))
+        self.base_den = d
         xs = sorted({x for _, s in self._strips for x in (s.x_lo, s.x_hi)})
         where = {x: i for i, x in enumerate(xs)}
         self._xs = xs
@@ -80,9 +87,8 @@ class CompiledExchange:
         if cached is not None:
             return cached
         d2, d3 = d * d, d * d * d
-        base = self.exchange.base
-        ax, bx = _pair(base.alpha, d)
-        ay, by = _pair(base.beta, d)
+        moves = {label: (label, *_pair(u, d), *_pair(q0, d), k)
+                 for label, (u, q0, k) in self._moves.items()}
         rows = []
         for piece, s in self._strips:
             # predicate scale d**3: c2*(X*X) has d*d2, c1*X needs d2, c0 needs d3
@@ -91,21 +97,20 @@ class CompiledExchange:
             c0 = _pair(s.lower.c0, d3)
             u1 = _pair(s.upper.c1, d2)
             u0 = _pair(s.upper.c0, d3)
-            n, m = piece.shift
             rows.append((*c2, *c1, *c0, s.lower_closed,
                          u1[0] - c1[0], u1[1] - c1[1],
                          u0[0] - c0[0], u0[1] - c0[1], s.upper_closed,
-                         piece.label, ax - n * d, ay - m * d))
+                         moves[piece.label]))
         cells = tuple(tuple(rows[j] for j in cell) for cell in self._cells)
         ends = [_pair(x, d) for x in self._xs]
         table = (cells, tuple(a for a, _ in ends), tuple(b for _, b in ends),
-                 bx, by, base.k, d2)
+                 d2)
         self._tables[d] = table
         return table
 
     def _run(self, p: Point, n: int, record: bool):
         d = lcm(self.base_den, _denoms(p.x), _denoms(p.y))
-        cells, ends_a, ends_b, bx, by, k, d2 = self._table(d)
+        cells, ends_a, ends_b, d2 = self._table(d)
         m = len(ends_a)
         xa, xb = _pair(p.x, d)
         ya, yb = _pair(p.y, d)
@@ -132,7 +137,7 @@ class CompiledExchange:
             yd2b = yb * d2
             xab = xa + xb
             for (c2a, c2b, c1a, c1b, c0a, c0b, lc, e1a, e1b, e0a, e0b, uc,
-                 label, dxa, dya) in cells[cell]:
+                 move) in cells[cell]:
                 # (lower(x) - y) * d**3, then (upper(x) - y) * d**3
                 va = c2a * x2a + c2b * x2b + c1a * xa + c1b * xb + c0a - yd2a
                 vb = (c2a * x2b + c2b * (x2a + x2b) + c1a * xb + c1b * xab
@@ -147,16 +152,17 @@ class CompiledExchange:
                 break
             else:
                 self._fail(xa, xb, ya, yb, d)
+            # the piece's branch (x, y) -> (x + u, y + k*x + q0)
+            label, ua, ub, qa, qb, k = move
             if record:
                 append(label)
-            # (x, y) -> (x + alpha - n, y + beta + k*x - m)
             if k:
                 ya += k * xa
                 yb += k * xb
-            xa += dxa
-            xb += bx
-            ya += dya
-            yb += by
+            xa += ua
+            xb += ub
+            ya += qa
+            yb += qb
         return tuple(word)
 
     def _fail(self, xa, xb, ya, yb, d):

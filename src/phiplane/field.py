@@ -332,11 +332,3 @@ def _fib_pair(k: int) -> Tuple[int, int]:
     f_neg = fn if n % 2 == 1 else -fn                  # F_{-n}
     f_neg_m1 = -(fn + fn1) if n % 2 == 1 else (fn + fn1)  # F_{-n-1}
     return f_neg, f_neg_m1
-
-
-def sign(x: QPhi) -> int:
-    return x.sign()
-
-
-def floor_frac(x: QPhi) -> Tuple[int, QPhi]:
-    return x.floor_frac()

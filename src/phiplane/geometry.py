@@ -30,25 +30,8 @@ class QuadBound:
     def __call__(self, x: QPhi) -> QPhi:
         return (self.c2 * x + self.c1) * x + self.c0
 
-    def shift_x(self, s: QPhi) -> "QuadBound":
-        """The bound x -> self(x + s)."""
-        return QuadBound(self.c2,
-                         self.c1 + 2 * self.c2 * s,
-                         (self.c2 * s + self.c1) * s + self.c0)
-
     def add_affine(self, d1: QPhi, d0: QPhi) -> "QuadBound":
         return QuadBound(self.c2, self.c1 + d1, self.c0 + d0)
-
-    def __add__(self, other: "QuadBound") -> "QuadBound":
-        return QuadBound(self.c2 + other.c2, self.c1 + other.c1,
-                         self.c0 + other.c0)
-
-    def __neg__(self) -> "QuadBound":
-        return QuadBound(-self.c2, -self.c1, -self.c0)
-
-    def compose_scale(self, k: QPhi) -> "QuadBound":
-        """The bound x -> self(k * x)."""
-        return QuadBound(self.c2 * k * k, self.c1 * k, self.c0)
 
 
 @dataclass(frozen=True)
@@ -146,9 +129,6 @@ class Region:
         for s in self.strips:
             total = total + s.area()
         return total
-
-    def is_empty(self) -> bool:
-        return not self.strips
 
     def x_extent(self) -> tuple[QPhi, QPhi]:
         if not self.strips:

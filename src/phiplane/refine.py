@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator
 
-from .exchange import PieceExchange, region_image
+from .exchange import PieceExchange
 from .field import QPhi, ZERO
 from .geometry import Region, region_intersect
 from .words import Language, Word
@@ -29,17 +29,9 @@ class Cell:
 
 
 def preimage(exchange: PieceExchange, label: int, region: Region) -> Region:
-    """Preimage of a region under the branch acting on piece `label`.
-
-    The branch is p -> T(p) - (n, m) for the base shear
-    T(x, y) = (x + a, y + b + k x); its inverse (x, y) -> T^-1(x + n, y + m)
-    is the shear by u = n - a, v = m - b - k u with slope -k.
-    """
-    n, m = exchange.piece(label).shift
-    base = exchange.base
-    u = n - base.alpha
-    v = m - base.beta - base.k * u
-    return region_image(region, u, v, -base.k)
+    """Preimage of a region under the branch p -> T(p) - (n, m) of piece
+    `label`: its image under the branch's inverse."""
+    return exchange.branch(label).inverse().image(region)
 
 
 def _depths(exchange: PieceExchange) -> Iterator[list[Cell]]:

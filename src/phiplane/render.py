@@ -16,7 +16,7 @@ quadratic bound lists c2, c1, c0.
 
 from __future__ import annotations
 
-from .exchange import T_PHI, BaseMap, Piece, PieceExchange
+from .exchange import T_PHI, Piece, PieceExchange, translation
 from .field import QPhi
 from .geometry import QuadBound, Region, Strip
 
@@ -30,10 +30,16 @@ def _bound(b: QuadBound) -> str:
 
 
 def serialize_exchange(exchange: PieceExchange) -> str:
-    lines = [f"exchange {exchange.base.kind} {exchange.level} {len(exchange.pieces)}"]
-    if exchange.base.kind != "T_phi":
-        lines.append(f"alpha {_q(exchange.base.alpha)}")
-        lines.append(f"beta {_q(exchange.base.beta)}")
+    """The exchange as text; its base must be T_phi or a translation."""
+    base = exchange.base
+    head = f"{exchange.level} {len(exchange.pieces)}"
+    if base == T_PHI:
+        lines = [f"exchange T_phi {head}"]
+    elif base == translation(base.u, base.q.c0):
+        lines = [f"exchange translation {head}", f"alpha {_q(base.u)}",
+                 f"beta {_q(base.q.c0)}"]
+    else:
+        raise ValueError("only T_phi and translation bases serialize")
     for p in exchange.pieces:
         lines.append(f"piece {p.label} {p.shift[0]} {p.shift[1]} "
                      f"{len(p.region.strips)}")
@@ -91,12 +97,12 @@ def parse_exchange(text: str) -> PieceExchange:
     elif kind == "translation":
         alpha, = qphis(*take("alpha"))
         beta, = qphis(*take("beta"))
-        base = BaseMap(alpha, beta)
+        base = translation(alpha, beta)
     else:
         raise ParseError(f"line {n}: unknown base kind {kind!r}")
     pieces = []
     for _ in range(count):
-        label, shift_x, shift_y, strip_count = ints(*take("piece"))
+        label, dx, dy, strip_count = ints(*take("piece"))
         strips = []
         for _ in range(strip_count):
             n, (flags, *vals) = take("strip")
@@ -107,11 +113,15 @@ def parse_exchange(text: str) -> PieceExchange:
                 raise ParseError(f"line {n}: strip bounds do not share c2")
             if q[0] >= q[1]:
                 raise ParseError(f"line {n}: strip needs x_lo < x_hi")
+            # upper - lower is affine: negative somewhere iff at an end
+            if any((q[6] - q[3]) * x + q[7] - q[4] < 0 for x in q[:2]):
+                raise ParseError(f"line {n}: strip upper bound lies below"
+                                 " its lower bound")
             strips.append(Strip(q[0], q[1],
                                 QuadBound(q[2], q[3], q[4]),
                                 QuadBound(q[5], q[6], q[7]),
                                 *(c == "1" for c in flags)))
-        pieces.append(Piece(label, Region(tuple(strips)), (shift_x, shift_y)))
+        pieces.append(Piece(label, Region(tuple(strips)), (dx, dy)))
     if records:
         raise ParseError(f"line {records[-1][0]}: extra record")
     return PieceExchange(base, tuple(pieces), level)

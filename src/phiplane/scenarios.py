@@ -287,10 +287,6 @@ def _clear(cr: Poly, cs: Poly, c0: Poly) -> IntegerRelation:
                              for p in (cr, cs, c0)))
 
 
-def _chain(pairs: list[tuple[Source, int]]) -> dict[Source, int]:
-    return dict(pairs)
-
-
 def enumerate_scenarios(n: int) -> list[Scenario]:
     """The transition scenarios at induction step n, up to relabeling.
 
@@ -318,7 +314,7 @@ def enumerate_scenarios(n: int) -> list[Scenario]:
     cycle = [("1a", 1), ("1b", 2)]
     cycle += [(str(i), i + 1) for i in range(2, m)]
     cycle.append((str(m), 1))
-    out.append(Scenario("single cycle", m, 1, _chain(cycle)))
+    out.append(Scenario("single cycle", m, 1, dict(cycle)))
     for k in range(1, nu):
         tr: list[tuple[Source, int]] = [("1a", 2), ("1b", 3)]
         tr += [(str(2 * i), 2 * i + 2) for i in range(1, k)]
@@ -326,7 +322,7 @@ def enumerate_scenarios(n: int) -> list[Scenario]:
         tr += [(str(2 * k), 2 * k + 2), (str(2 * k + 1), 2 * k + 2)]
         tr += [(str(i), i + 1) for i in range(2 * k + 2, m)]
         tr.append((str(m), 1))
-        out.append(Scenario(f"merge before the tail, k={k}", m, 1, _chain(tr)))
+        out.append(Scenario(f"merge before the tail, k={k}", m, 1, dict(tr)))
     for k in range(1, nu + 1):
         tr = [("1a", 2), ("1b", 3)]
         tr += [(str(2 * i), 2 * i + 2) for i in range(1, k)]
@@ -338,7 +334,7 @@ def enumerate_scenarios(n: int) -> list[Scenario]:
             tr.append((str(m), 1))
         else:
             tr.append((str(m), 1))
-        out.append(Scenario(f"short cycle back, k={k}", m, 1, _chain(tr)))
+        out.append(Scenario(f"short cycle back, k={k}", m, 1, dict(tr)))
     return out
 
 
@@ -361,11 +357,3 @@ def scenario_report(scenario: Scenario) -> str:
     lines.append(f"forced relation: ({rel.coeff_r})*r + ({rel.coeff_s})*s"
                  f" = {rel.constant}  (an integer)")
     return "\n".join(lines)
-
-
-def all_relations_nonzero(max_n: int) -> bool:
-    for n in range(1, max_n + 1):
-        for sc in enumerate_scenarios(n):
-            if not scenario_relation(sc).is_nonzero():
-                return False
-    return True

@@ -28,13 +28,6 @@ def factors(w: Word, n: int) -> set[Word]:
     return {w[i:i + n] for i in range(len(w) - n + 1)}
 
 
-def all_factors(w: Word, max_len: int) -> set[Word]:
-    out: set[Word] = {EPSILON}
-    for n in range(1, max_len + 1):
-        out |= factors(w, n)
-    return out
-
-
 @dataclass(frozen=True)
 class Substitution:
     """A non-erasing substitution, one image word per symbol."""
@@ -126,13 +119,6 @@ class Language:
         return "\n".join("".join(str(s) for s in w) or "-" for w in ws)
 
 
-def complexity(x: "Language | Word", n: int) -> int:
-    """Number of distinct length-n members (language) or factors (word)."""
-    if isinstance(x, Language):
-        return x.complexity(n)
-    return len(factors(x, n))
-
-
 def certified_complexity(prefix_builder: Callable[[int], Word], n: int) -> int:
     """Factor count at length n, certified stable under prefix doubling."""
     base = max(200 + 10 * n, 4 * n)
@@ -166,23 +152,7 @@ def iterate_chain(lang: Language, n_steps: int, max_len: int,
     return chain
 
 
-def converged(lang: Language, target: Language, m: int) -> bool:
-    """True iff the length-<=m slices of both languages coincide."""
-    if lang.max_len < m or target.max_len < m:
-        raise WordError("cap below comparison length")
-    for n in range(m + 1):
-        if lang.slice(n) != target.slice(n):
-            return False
-    return True
-
-
 def fibonacci_language(max_len: int) -> Language:
     """Factorial language of the Fibonacci word, up to max_len."""
     w = fibonacci_word(max(40 * max_len, 400))
     return Language.from_words([w], 2, max_len)
-
-
-def complexity_csv(rows: Iterable[tuple[int, int]]) -> str:
-    lines = ["n,p_n"]
-    lines.extend(f"{n},{p}" for n, p in rows)
-    return "\n".join(lines)

@@ -5,7 +5,7 @@ from math import floor
 import pytest
 
 from phiplane.birkhoff import (DRIFT, STEP, SumRecord, birkhoff_sum,
-                               birkhoff_sum_direct, display_difference,
+                               birkhoff_sum_direct,
                                max_abs_sum, record_maxima, sums_csv)
 from phiplane.field import HALF, PHI, QPhi, ZERO, phi_power
 
@@ -32,6 +32,23 @@ def test_float_oracle():
     step = 1 / PHI_F ** 2
     approx = sum((1 / 3 + k * step) % 1.0 - 0.5 for k in range(n + 1))
     assert exact == pytest.approx(approx, abs=1e-6)
+
+
+def display_difference(x0: QPhi, n: int) -> QPhi:
+    """First-display minus second-display y-part of the orbit formula.
+
+    The variant with drift n/(2 phi**3) and centering 1/phi differs from
+    the {x} - 1/2 form by the constant -1/(2 phi**3), every n, because
+    1/phi - 1/2 equals 1/(2 phi**3) exactly.
+    """
+    first = n * DRIFT
+    second = ZERO
+    inv_phi = phi_power(-1)
+    for k in range(n + 1):
+        f = (x0 + k * STEP).frac()
+        first = first + f - inv_phi
+        second = second + f - HALF
+    return first - second
 
 
 def test_display_difference_is_constant():

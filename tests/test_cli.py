@@ -1,14 +1,17 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
 import phiplane
 from phiplane.cli import run
-from phiplane.exchange import (build_base_exchange, build_translation_exchange,
-                               exchange_tower, sample_points)
-from phiplane.field import phi_power
+from phiplane.exchange import (T_PHI, PlaneMap, build_base_exchange,
+                               build_translation_exchange, exchange_tower,
+                               sample_points)
+from phiplane.field import ONE, ZERO, phi_power
+from phiplane.geometry import QuadBound
 from phiplane.render import (ParseError, exchange_svg, parse_exchange,
                              serialize_exchange)
 
@@ -25,7 +28,7 @@ def test_serialize_roundtrip_base(base):
     back = parse_exchange(text)
     assert serialize_exchange(back) == text
     assert back.level == base.level
-    assert back.domain_area() == base.domain_area()
+    assert back == base
     for p in sample_points(base, 10, seed=6):
         assert back.locate(p) == base.locate(p)
 
@@ -40,6 +43,14 @@ def test_serialized_header(base):
     lines = serialize_exchange(base).splitlines()
     assert lines[0] == "exchange T_phi 1 2"
     assert lines[1].startswith("piece 1 0 0 ")
+
+
+def test_serialize_rejects_other_bases(base):
+    with pytest.raises(ValueError, match="only T_phi and translation"):
+        serialize_exchange(replace(base, base=T_PHI @ T_PHI))
+    shear = PlaneMap(ONE, phi_power(-3), 1, QuadBound(ZERO, ONE, phi_power(-4)))
+    with pytest.raises(ValueError, match="only T_phi and translation"):
+        serialize_exchange(replace(base, base=shear))
 
 
 def test_serialize_roundtrip_translation():
@@ -72,6 +83,8 @@ def _garbage_cases():
          "strip bounds do not share c2"),
         (edit(2, " ".join(strip[:2] + strip[6:10] + strip[2:6] + strip[10:])),
          3, "strip needs x_lo < x_hi"),
+        (edit(2, " ".join(strip[:10] + strip[22:34] + strip[10:22])), 3,
+         "strip upper bound lies below its lower bound"),
     ]
 
 

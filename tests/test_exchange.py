@@ -5,20 +5,20 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phiplane.exchange import (INV_PHI2, PAPER_STATED_Z, T_PHI, T_PHI_DRIFT,
-                               BaseMap, BoundaryError, ExchangeError,
-                               OutsideDomainError, PieceExchange, Point,
-                               apply_T_phi, build_base_exchange,
+from phiplane.exchange import (INV_PHI2, PAPER_STATED_Z, PSI, T_PHI,
+                               T_PHI_DRIFT, BoundaryError, ExchangeError,
+                               OutsideDomainError, PieceExchange, PlaneMap,
+                               Point, apply_T_phi, build_base_exchange,
                                build_translation_exchange,
                                check_projection_witness, exchange_tower,
-                               projection_witness, psi, psi_inverse,
+                               projection_witness, psi_inverse,
                                rational_dependence, renormalization_checks,
-                               renormalize, sample_points, strip_image,
-                               strip_psi_inverse, witness_interval)
+                               renormalize, sample_points, translation,
+                               witness_interval)
 from phiplane import fastorbit
 from phiplane.fastorbit import CompiledExchange
-from phiplane.field import HALF, PHI, QPhi, ZERO, phi_power, sgn_pair
-from phiplane.geometry import Region
+from phiplane.field import HALF, ONE, PHI, QPhi, ZERO, phi_power, sgn_pair
+from phiplane.geometry import QuadBound, Region, Strip
 
 
 @pytest.fixture(scope="module")
@@ -43,22 +43,24 @@ def test_T_phi_is_a_shear_plus_translation():
     q = apply_T_phi(p)
     assert q.x == p.x + INV_PHI2
     assert q.y == p.y + p.x + T_PHI_DRIFT
-    assert (T_PHI.alpha, T_PHI.beta, T_PHI.k) == (INV_PHI2, T_PHI_DRIFT, 1)
+    assert T_PHI == PlaneMap(ONE, INV_PHI2, 1,
+                             QuadBound(ZERO, ONE, T_PHI_DRIFT))
 
 
 @pytest.mark.parametrize("base_map", [
-    T_PHI, BaseMap(phi_power(-2), phi_power(-3))], ids=["T_phi", "translation"])
+    T_PHI, translation(phi_power(-2), phi_power(-3))],
+    ids=["T_phi", "translation"])
 def test_base_map_inverse_round_trip(base_map):
     for p in (Point(QPhi(1), QPhi(2)),
               Point(QPhi(Fraction(1, 3), Fraction(-2, 5)), QPhi(0, Fraction(7, 4)))):
-        assert base_map.apply_inverse(base_map.apply(p)) == p
-        assert base_map.apply(base_map.apply_inverse(p)) == p
+        assert base_map.inverse().apply(base_map.apply(p)) == p
+        assert base_map.apply(base_map.inverse().apply(p)) == p
 
 
 def test_psi_inverse_inverts_psi():
     p = Point(QPhi(Fraction(1, 3), Fraction(-2, 5)), QPhi(Fraction(7, 4)))
-    assert psi(psi_inverse(p)) == p
-    assert psi_inverse(psi(p)) == p
+    assert PSI.apply(psi_inverse(p)) == p
+    assert psi_inverse(PSI.apply(p)) == p
     q = psi_inverse(Point(QPhi(1), QPhi(0)))
     assert q.x == -phi_power(-1)
     assert q.y == -phi_power(-3) * HALF
@@ -67,7 +69,6 @@ def test_psi_inverse_inverts_psi():
 def test_base_areas(base):
     assert base.piece(1).region.area() == phi_power(-1)
     assert base.piece(2).region.area() == phi_power(-2)
-    assert base.domain_area() == QPhi(1)
 
 
 def test_base_supports(base):
@@ -94,14 +95,77 @@ def test_literal_reading_fails_witness():
 def test_strip_transport_matches_point_maps(base):
     pts = sample_points(base, 6, seed=2)
     for s in base.piece(1).region.strips:
-        img = strip_image(s, INV_PHI2, T_PHI_DRIFT, 1)
-        rev = strip_psi_inverse(s)
+        img = T_PHI.image(Region((s,)))
+        rev = PSI.inverse().image(Region((s,)))
         for p in pts:
             if s.contains(p.x, p.y):
                 q = apply_T_phi(p)
                 assert img.contains(q.x, q.y)
                 q = psi_inverse(p)
                 assert rev.contains(q.x, q.y)
+
+
+def test_branch_is_T_minus_shift(base):
+    for p in sample_points(base, 4, seed=3):
+        t = apply_T_phi(p)
+        assert base.branch(1).apply(p) == t
+        assert base.branch(2).apply(p) == Point(t.x - 1, t.y)
+    with pytest.raises(ExchangeError):
+        base.branch(3)
+
+
+# -- the map type: random maps against point membership -----------------
+
+_quarter = st.integers(-12, 12).map(lambda n: Fraction(n, 4))
+_small = st.builds(QPhi, _quarter, _quarter)
+_bounds = st.builds(QuadBound, _small, _small, _small)
+_maps = st.builds(PlaneMap, _small.filter(bool), _small,
+                  st.sampled_from([1, -1]), _bounds)
+_unit = st.integers(0, 6).map(lambda n: Fraction(n, 6))
+
+
+@st.composite
+def _strip_and_points(draw):
+    """A one-strip region with random flags, and exact points inside it,
+    on its x-ends, on its bounds and just outside it."""
+    x_lo = draw(_small)
+    x_hi = x_lo + draw(_small.filter(lambda w: w > 0))
+    lower = draw(_bounds)
+    gap = draw(st.integers(1, 12).map(lambda n: Fraction(n, 4)))
+    upper = lower.add_affine(ZERO, QPhi(gap))
+    s = Strip(x_lo, x_hi, lower, upper,
+              *draw(st.tuples(*[st.booleans()] * 4)))
+    pts = []
+    for tx in draw(st.lists(_unit, min_size=1, max_size=4)) + [0, 1]:
+        x = x_lo + (x_hi - x_lo) * QPhi(tx)
+        for ty in (Fraction(-1, 5), 0, draw(_unit), 1, Fraction(6, 5)):
+            pts.append(Point(x, lower(x) + gap * QPhi(ty)))
+    pts.append(Point(x_hi + 1, lower(x_lo)))
+    return s, pts
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=_maps, n=_maps, sp=_strip_and_points(),
+       p=st.builds(Point, _small, _small))
+def test_plane_map_laws(m, n, sp, p):
+    assert m.inverse().apply(m.apply(p)) == p
+    assert m.apply(m.inverse().apply(p)) == p
+    assert (m @ n).apply(p) == m.apply(n.apply(p))
+    strip, pts = sp
+    img = m.image(Region((strip,)))
+    for q in pts:
+        assert strip.contains(*q) == img.contains(*m.apply(q)), q
+
+
+def test_psi_and_its_renormalization_composite(tower4):
+    assert PSI.inverse().inverse() == PSI
+    renorm = T_PHI @ PSI.inverse()
+    p = Point(QPhi(Fraction(1, 3), Fraction(-2, 5)), QPhi(Fraction(7, 4)))
+    assert renorm.apply(p) == apply_T_phi(psi_inverse(p))
+    # one transport by the composite is the two transports, exactly
+    for piece in tower4[2].pieces:
+        assert renorm.image(piece.region) == \
+            T_PHI.image(PSI.inverse().image(piece.region))
 
 
 def test_renormalize_checks_hold(base):
@@ -157,7 +221,7 @@ def test_translation_exchange_structure():
     alpha, beta = phi_power(-2), phi_power(-3)
     E = build_translation_exchange(alpha, beta, check_independence=False)
     assert len(E.pieces) == 4
-    assert E.domain_area() == QPhi(1)
+    assert sum((p.region.area() for p in E.pieces), ZERO) == QPhi(1)
     shifts = {p.label: p.shift for p in E.pieces}
     assert shifts == {1: (0, 0), 2: (1, 0), 3: (0, 1), 4: (1, 1)}
     p = Point(QPhi(Fraction(1, 3)), QPhi(Fraction(1, 3)))
@@ -295,6 +359,17 @@ def test_compiled_stepper_matches_slow(name, data):
     slow = _outcome(_slow_code, E, p, 25)
     assert slow in (BoundaryError, OutsideDomainError) or len(slow) == 25
     assert _outcome(E.compiled.code_orbit, p, 25) == slow
+
+
+@pytest.mark.parametrize("bad", [
+    PSI,
+    PlaneMap(ONE, ZERO, 1, QuadBound(ZERO, HALF, ZERO)),
+    PlaneMap(ONE, ZERO, 1, QuadBound(ONE, ZERO, ZERO)),
+    PlaneMap(ONE, ZERO, -1, QuadBound(ZERO, ZERO, ZERO))],
+    ids=["psi", "half slope", "quadratic", "y flip"])
+def test_compiled_rejects_non_shear_branch(base, bad):
+    with pytest.raises(ExchangeError, match="integer-slope shear"):
+        CompiledExchange(replace(base, base=bad))
 
 
 def test_orbit_in_domain_flags_outside(base):

@@ -1,9 +1,12 @@
+import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phiplane import geometry
 from phiplane.exchange import exchange_tower
+from phiplane.refine import refinement_chain
 from phiplane.field import PHI, QPhi, ZERO, phi_power
 from phiplane.geometry import (EMPTY_REGION, GeometryError, QuadBound, Region,
                                Strip, area_disjoint, is_subset, merge_strips,
@@ -22,12 +25,10 @@ def rect(x0, x1, y0, y1, **flags) -> Strip:
     return Strip(Q(x0), Q(x1), const(y0), const(y1), **flags)
 
 
-def test_quadbound_eval_and_shift():
+def test_quadbound_eval_and_add_affine():
     b = QuadBound(Q(2), Q(-1), Q(3))
     assert b(Q(2)) == 2 * 4 - 2 + 3
-    assert b.shift_x(Q(1))(Q(1)) == b(Q(2))
-    assert b.compose_scale(PHI)(Q(1)) == b(PHI)
-    assert (b + (-b))(Q(5)) == ZERO
+    assert b(PHI) == PHI + 5        # 2 phi**2 - phi + 3, phi**2 = phi + 1
     assert b.add_affine(Q(1), Q(1))(Q(2)) == b(Q(2)) + 3
 
 
@@ -184,3 +185,91 @@ def test_prefilter_skips_pairs_on_tower_levels(monkeypatch):
         assert inter == Region.of(unfiltered)
         assert inter.area() == 0
         assert diff.area() == d1.area()
+
+
+# -- region operations against point membership -------------------------
+
+def _on_edge(regions, x, y) -> bool:
+    """Whether (x, y) lies on an x-end or a bound of any strip's closure:
+    membership there depends on closedness flags, which region
+    operations keep only up to sets of zero area."""
+    return any(s.closure_contains(x, y)
+               and 0 in ((x - s.x_lo).sign(), (s.x_hi - x).sign(),
+                         (y - s.lower(x)).sign(), (s.upper(x) - y).sign())
+               for r in regions for s in r.strips)
+
+
+def _check_ops(a: Region, b: Region, inter: Region, diff: Region, pts):
+    assert inter.area() + diff.area() == a.area()
+    assert inter.area() >= 0 and diff.area() >= 0
+    seen = 0
+    for x, y in pts:
+        if _on_edge((a, b), x, y):
+            continue
+        in_a, in_b = a.contains(x, y), b.contains(x, y)
+        assert inter.contains(x, y) == (in_a and in_b), (x, y)
+        assert diff.contains(x, y) == (in_a and not in_b), (x, y)
+        seen += in_a and in_b
+    if inter.area() == 0:
+        assert seen == 0
+
+
+@functools.cache
+def _tower_pairs():
+    """(a, b, a & b, a - b) over pieces and depth-3 cells of levels 2, 4, 6."""
+    out = []
+    for E in exchange_tower(6)[1::2]:
+        d1, d2 = E.piece(1).region, E.piece(2).region
+        cells = [c.region for c in refinement_chain(E, 3)[-1]][:2]
+        for a, b in [(d1, d2), (d2, d1)] + [(d, c) for c in cells
+                                             for d in (d1, d2)]:
+            out.append((a, b, region_intersect(a, b), region_subtract(a, b)))
+    return out
+
+
+_unit = st.integers(0, 97).map(lambda n: Fraction(n, 97))
+
+
+@settings(max_examples=40, deadline=None)
+@given(i=st.integers(0, 11), ts=st.lists(st.tuples(_unit, _unit),
+                                         min_size=20, max_size=20))
+def test_tower_region_ops_match_membership(i, ts):
+    a, b, inter, diff = _tower_pairs()[i]
+    lo, hi = a.x_extent()
+    y = max(a.y_extent_bound(), b.y_extent_bound())
+    pts = [(lo + (hi - lo) * Q(tx), y * Q(2 * ty - 1)) for tx, ty in ts]
+    _check_ops(a, b, inter, diff, pts)
+
+
+def _quarters(lo: int, hi: int):
+    return st.integers(4 * lo, 4 * hi).map(lambda n: Q(Fraction(n, 4)))
+
+
+_coef = _quarters(-2, 2)
+_positive = _quarters(0, 2).filter(bool)
+
+
+@st.composite
+def _one_strip(draw, c2):
+    x_lo = draw(_coef)
+    x_hi = x_lo + draw(_positive)
+    lower = QuadBound(c2, draw(_coef), draw(_coef))
+    # the band's height: positive at both ends, affine in between
+    g_lo, g_hi = draw(_positive), draw(_positive)
+    d1 = (g_hi - g_lo) / (x_hi - x_lo)
+    upper = lower.add_affine(d1, g_lo - d1 * x_lo)
+    return Region.of([Strip(x_lo, x_hi, lower, upper,
+                            *draw(st.tuples(*[st.booleans()] * 4)))])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_random_region_ops_match_membership(data):
+    c2 = data.draw(_coef)
+    a, b = data.draw(_one_strip(c2)), data.draw(_one_strip(c2))
+    # points on a grid of eighths, so many fall on edges and corners
+    grid = st.integers(-24, 24).map(lambda n: Q(Fraction(n, 8)))
+    pts = [(x, c2 * x * x + y) for x, y in data.draw(
+        st.lists(st.tuples(grid, grid), min_size=30, max_size=30))]
+    _check_ops(a, b, region_intersect(a, b), region_subtract(a, b), pts)
+    assert region_intersect(a, b).area() == region_intersect(b, a).area()

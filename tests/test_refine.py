@@ -41,7 +41,7 @@ def test_depth_rejects_nonpositive(base):
 def test_cell_areas_partition_domain(base):
     for cells in refinement_chain(base, 5):
         total = sum((c.cell_area for c in cells), ZERO)
-        assert total == base.domain_area()
+        assert total == ONE     # the domain's area
         assert all(c.cell_area > ZERO for c in cells)
 
 
