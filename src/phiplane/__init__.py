@@ -5,7 +5,7 @@ from .exchange import (PieceExchange, Point, build_base_exchange,
                        projection_witness, renormalize)
 from .field import PHI, QPhi, phi_power
 from .geometry import QuadBound, Region, Strip
-from .refine import complexity_table, language_from_refinement, refine
+from .refine import complexity_table
 from .words import FIBONACCI, Language, Substitution, fibonacci_word
 
 __all__ = [
@@ -24,9 +24,7 @@ __all__ = [
     "complexity_table",
     "exchange_tower",
     "fibonacci_word",
-    "language_from_refinement",
     "phi_power",
     "projection_witness",
-    "refine",
     "renormalize",
 ]

@@ -19,8 +19,7 @@ from .exchange import (PAPER_STATED_Z, PieceExchange, build_base_exchange,
                        projection_witness, renormalization_checks,
                        renormalize, sample_points)
 from .field import PHI, QPhi, ZERO, phi_power
-from .refine import (chain_language, complexity_table, horizon_chain,
-                     max_cell_area, refinement_chain)
+from .refine import chain_language, complexity_table, refinement_chain
 
 
 class _Cache:
@@ -47,9 +46,10 @@ def _random_qphi(rng: random.Random, span: int = 40) -> QPhi:
     return QPhi(frac(), frac())
 
 
-def check_field_axioms(count: int = 10_000, seed: int = 1) -> tuple[bool, str]:
+def check_field_axioms() -> tuple[bool, str]:
     """Ring and order axioms on randomized elements, plus floor identity."""
-    rng = random.Random(seed)
+    count = 10_000
+    rng = random.Random(1)
     for i in range(count):
         a, b, c = (_random_qphi(rng) for _ in range(3))
         if (a + b) + c != a + (b + c):
@@ -69,8 +69,9 @@ def check_field_axioms(count: int = 10_000, seed: int = 1) -> tuple[bool, str]:
     return True, f"{count} randomized trials"
 
 
-def check_substitution_complexity(max_n: int = 30) -> tuple[bool, str]:
+def check_substitution_complexity() -> tuple[bool, str]:
     """Fibonacci factor complexity n+1, Tribonacci 2n+1, certified."""
+    max_n = 30
     for n in range(1, max_n + 1):
         p = words.certified_complexity(words.fibonacci_word, n)
         if p != n + 1:
@@ -81,9 +82,9 @@ def check_substitution_complexity(max_n: int = 30) -> tuple[bool, str]:
     return True, f"n = 1..{max_n} exact"
 
 
-def check_language_convergence(cap: int = 12,
-                               max_iters: int = 25) -> tuple[bool, str]:
+def check_language_convergence() -> tuple[bool, str]:
     """Iteration converges to the Fibonacci language from both sides."""
+    cap, max_iters = 12, 25
     target = words.fibonacci_language(cap)
     seeds = {
         "increasing": words.Language.from_words([(1,), (2,)], 2, cap),
@@ -107,9 +108,9 @@ def check_language_convergence(cap: int = 12,
                   f"{hits['decreasing']} (down), cap {cap}")
 
 
-def check_base_exchange(orbit_points: int = 50,
-                        orbit_steps: int = 100_000) -> tuple[bool, str]:
+def check_base_exchange() -> tuple[bool, str]:
     """Areas, the projection witness, and long orbits staying in D."""
+    orbit_points, orbit_steps = 50, 100_000
     E = build_base_exchange()
     a1 = E.piece(1).region.area()
     a2 = E.piece(2).region.area()
@@ -135,8 +136,9 @@ def check_base_exchange(orbit_points: int = 50,
                   " in D")
 
 
-def check_renormalization(levels: int = 12) -> tuple[bool, str]:
+def check_renormalization() -> tuple[bool, str]:
     """Zone inclusions, areas, disjointness and the c2 recurrence."""
+    levels = 12
     tower = _cache.tower(levels + 1)
     for N in range(levels):
         before, after = tower[N], tower[N + 1]
@@ -155,58 +157,67 @@ def check_renormalization(levels: int = 12) -> tuple[bool, str]:
     return True, f"levels 1..{levels} exact"
 
 
-def check_theorem2_desk_scale(langa_levels: int = 8,
-                              m_levels: int = 10) -> tuple[bool, str]:
-    """Low complexity at high level, the language recursion, and M(N)."""
-    tower = _cache.tower(m_levels)
+def check_theorem2_desk_scale() -> tuple[bool, str]:
+    """The collapse law M(N) = F_{N+2} - 1 and the language recursion.
+
+    M(N) is the largest M with p(k) = k+1 for every k <= M at level N;
+    the law also fixes the first excess, p(M+1) = M+3.
+    """
+    tower = _cache.tower(10)
+    fib = [1, 1]                    # F_1, F_2, ...
+    while len(fib) < 9:
+        fib.append(fib[-1] + fib[-2])
+    horizons = [f - 1 for f in fib[2:]]     # M(1..7)
     # one refinement run per level: depth 6 for the languages, deeper
-    # only as far as the matching horizon needs
-    runs = [horizon_chain(E, 12, min_depth=6) for E in tower]
-    top = runs[9][1]
-    table = [(k, len(cells)) for k, cells in enumerate(top[:5], start=1)]
-    if table != [(k, k + 1) for k in range(1, 6)]:
-        return False, f"level-10 complexity {table}"
-    fib = words.fibonacci_language(6)
-    lang10 = chain_language(tower[9], top[:6])
-    if lang10.words != fib.words:
+    # where the law needs it
+    langs = []
+    for N, E in enumerate(tower, start=1):
+        if N <= len(horizons):
+            m = horizons[N - 1]
+            want = [k + 1 for k in range(1, m + 1)] + [m + 3]
+        else:
+            want = [k + 1 for k in range(1, 7)]
+        chain = refinement_chain(E, max(len(want), 6))
+        counts = [len(cells) for cells in chain[:len(want)]]
+        if counts != want:
+            return False, f"level {N}: p(1..{len(want)}) = {counts} != {want}"
+        langs.append(chain_language(E, chain[:6]))
+    if langs[9].words != words.fibonacci_language(6).words:
         return False, "level-10 language differs from the Fibonacci language"
-    langs = [chain_language(E, chain[:6])
-             for E, (_, chain) in zip(tower[:langa_levels + 1], runs)]
-    for N in range(langa_levels):
+    for N in range(8):
         expect = words.iterate_step(langs[N], words.FIBONACCI, 6)
         if langs[N + 1].words != expect.words:
             return False, f"language recursion fails at level {N + 1}"
-    mmap = [m for m, _ in runs]
-    if any(b < a for a, b in zip(mmap, mmap[1:])):
-        return False, f"M(N) not non-decreasing: {mmap}"
-    return True, f"M(N) for N=1..{m_levels}: {mmap}"
+    return True, (f"M(N) = F(N+2) - 1 = {horizons} and p(M+1) = M+3 for "
+                  f"N=1..7; p(k) = k+1 for k <= 6 at N=8..10")
 
 
-def check_theorem1_desk_scale(max_step: int = 6,
-                              max_n: int = 8) -> tuple[bool, str]:
-    """Nonzero forced relations, and 2n+1 beaten by the 4-piece exchange."""
+def check_theorem1_desk_scale() -> tuple[bool, str]:
+    """Nonzero forced relations (the 2n+1 bound's case analysis), and the
+    translation exchange's exact product law p(n) = (n+1)^2."""
     total = 0
-    for n in range(1, max_step + 1):
+    for n in range(1, 7):
         for sc in scenarios.enumerate_scenarios(n):
             if not scenarios.scenario_relation(sc).is_nonzero():
                 return False, f"zero relation in step {n}: {sc.name}"
             total += 1
     E = build_translation_exchange(phi_power(-2), phi_power(-3),
                                   check_independence=False)
-    table = complexity_table(E, max_n)
+    table = complexity_table(E, 8)
     for n, p in table:
-        if p < 2 * n + 1:
-            return False, f"translation p({n}) = {p} < {2 * n + 1}"
+        if p != (n + 1) ** 2:
+            return False, f"translation p({n}) = {p} != {(n + 1) ** 2}"
     counts = [p for _, p in table]
     return True, (f"{total} scenarios nonzero; translation p(n) = {counts}"
-                  f" >= 2n+1")
+                  f" = (n+1)^2")
 
 
-def check_halmos_diagnostics(depth: int = 12, pairs: int = 200,
-                             horizon: int = 1000) -> tuple[bool, str]:
+def check_halmos_diagnostics() -> tuple[bool, str]:
     """Cell areas shrink and nearby points separate in coding."""
+    depth, pairs, horizon = 12, 200, 1000
     E = build_base_exchange()
-    areas = [max_cell_area(cells) for cells in refinement_chain(E, depth)]
+    areas = [max(c.cell_area for c in cells)
+             for cells in refinement_chain(E, depth)]
     for a, b in zip(areas, areas[1:]):
         if (b - a).sign() > 0:
             return False, "max cell area increased"
@@ -230,11 +241,11 @@ def check_halmos_diagnostics(depth: int = 12, pairs: int = 200,
                   f"{pairs} pairs separate, worst at step {worst}")
 
 
-def check_unboundedness_evidence(starts: int = 5,
-                                 tower_levels: int = 20) -> tuple[bool, str]:
+def check_unboundedness_evidence() -> tuple[bool, str]:
     """Record growth of |S_n| and growing vertical extent of the domains."""
+    tower_levels = 20
     rng = random.Random(9)
-    x0s = [QPhi(0)] + [_random_qphi(rng, 16) for _ in range(starts)]
+    x0s = [QPhi(0)] + [_random_qphi(rng, 16) for _ in range(5)]
     for x0 in x0s:
         prev = None
         for N in (100, 1000, 10_000, 100_000):

@@ -11,6 +11,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import TYPE_CHECKING, NamedTuple
 
 from .field import HALF, ONE, PHI, ZERO, QPhi, phi_power
@@ -341,18 +342,22 @@ def exchange_tower(levels: int) -> list[PieceExchange]:
 
 # -- the four-rectangle translation exchange ----------------------------
 
-def rational_dependence(alpha: QPhi, beta: QPhi,
-                        bound: int = 20) -> tuple[int, int, int] | None:
-    """Smallest (n, m, k) with n*alpha + m*beta = k in Z, if one exists."""
-    for r in range(1, bound + 1):
-        for n in range(-r, r + 1):
-            for m in range(-r, r + 1):
-                if max(abs(n), abs(m)) != r:
-                    continue
-                v = n * alpha + m * beta
-                if v.b == 0 and v.a.denominator == 1:
-                    return n, m, int(v.a)
-    return None
+def rational_dependence(alpha: QPhi, beta: QPhi) -> tuple[int, int, int]:
+    """Integers (n, m, k) with n*alpha + m*beta = k, the least such
+    multiple of (b2, -b1), signed so that n < 0 (or n = 0 and m < 0).
+
+    Q(phi) has dimension 2 over Q, so 1, alpha and beta are always
+    dependent: the phi-parts cancel exactly for (n, m) proportional to
+    (b2, -b1).  If alpha and beta are both rational, (1, 0) is used.
+    """
+    u, v = ((beta.b, -alpha.b) if alpha.b or beta.b
+            else (Fraction(1), Fraction(0)))
+    d = lcm(u.denominator, v.denominator)
+    n, m = int(u * d), int(v * d)
+    g = gcd(n, m) * (-1 if (n, m) > (0, 0) else 1)
+    n, m = n // g, m // g
+    k = n * alpha.a + m * beta.a
+    return n * k.denominator, m * k.denominator, int(k * k.denominator)
 
 
 def build_translation_exchange(alpha: QPhi, beta: QPhi,
@@ -361,11 +366,9 @@ def build_translation_exchange(alpha: QPhi, beta: QPhi,
     if not (ZERO < alpha < ONE and ZERO < beta < ONE):
         raise ExchangeError("alpha and beta must lie strictly in (0, 1)")
     if check_independence:
-        dep = rational_dependence(alpha, beta)
-        if dep is not None:
-            n, m, k = dep
-            raise ExchangeError(
-                f"1, alpha, beta rationally dependent: {n}*alpha + {m}*beta = {k}")
+        n, m, k = rational_dependence(alpha, beta)
+        raise ExchangeError(
+            f"1, alpha, beta rationally dependent: {n}*alpha + {m}*beta = {k}")
     zero_b = QuadBound(ZERO, ZERO, ZERO)
     one_b = QuadBound(ZERO, ZERO, ONE)
     ca = ONE - alpha

@@ -210,10 +210,8 @@ def _affine_root(f: QuadBound, g: QuadBound) -> QPhi | None:
 
 def strips_from_constraints(x_lo: QPhi, x_hi: QPhi,
                             lowers: Sequence[Constraint],
-                            uppers: Sequence[Constraint],
-                            lo_closed: bool = True,
-                            hi_closed: bool = False) -> list[Strip]:
-    """Strips of {x in [x_lo,x_hi], all lowers <(=) y <(=) all uppers}.
+                            uppers: Sequence[Constraint]) -> list[Strip]:
+    """Strips of {x in [x_lo,x_hi), all lowers <(=) y <(=) all uppers}.
 
     Splits the interval at the roots of every pairwise affine bound
     difference; inside each piece the active max-lower and min-upper are
@@ -243,8 +241,6 @@ def strips_from_constraints(x_lo: QPhi, x_hi: QPhi,
         if (up_b(xm) - lo_b(xm)).sign() <= 0:
             continue
         out.append(Strip(a, b, lo_b, up_b,
-                         lo_closed=(lo_closed if a == x_lo else True),
-                         hi_closed=(hi_closed if b == x_hi else False),
                          lower_closed=lo_c, upper_closed=up_c))
     return out
 

@@ -32,3 +32,19 @@ def test_tower_cache_extends_instead_of_rebuilding(monkeypatch):
     assert [E.level for E in longer] == [1, 2, 3, 4]
     assert all(a is b for a, b in zip(short, longer))
     assert cache.tower(3) == longer[:3] and calls == [1, 2, 3]
+
+
+def test_criterion6_fails_on_a_dropped_cell(monkeypatch):
+    # the collapse law can fail: drop one cell at depth M+1 = 5 of level 3
+    from phiplane import acceptance
+    real = acceptance.refinement_chain
+
+    def planted(exchange, max_n):
+        chain = real(exchange, max_n)
+        if exchange.level == 3:
+            chain[4] = chain[4][1:]
+        return chain
+    monkeypatch.setattr(acceptance, "refinement_chain", planted)
+    ok, detail = acceptance.check_theorem2_desk_scale()
+    assert not ok
+    assert detail.startswith("level 3:")

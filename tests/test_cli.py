@@ -146,6 +146,26 @@ def test_cli_translation_dependence_fails(capsys):
     assert "hypothesis check failed" in err
 
 
+def test_cli_translation_dependence_beyond_small_coefficients(capsys):
+    # alpha = phi - 1, beta = phi/21: the relation needs m = 21
+    code, out, err = run_capture(capsys, ["translation", "--alpha=-1,1,1,1",
+                                          "--beta=0,1,1,21"])
+    assert (code, out) == (1, "")
+    assert err == ("hypothesis check failed: 1, alpha, beta rationally "
+                   "dependent: -1*alpha + 21*beta = 1\n")
+
+
+def test_cli_complexity_level1_golden_bytes(capsys):
+    # a regression record of the level-1 coding complexity p(1..12)
+    golden = os.path.join(os.path.dirname(__file__), "data",
+                          "complexity_level1.txt")
+    with open(golden, newline="") as fh:
+        want = fh.read()
+    code, out, err = run_capture(capsys, ["complexity", "--level", "1",
+                                          "--max-n", "12"])
+    assert (code, out, err) == (0, want, "")
+
+
 def test_cli_theorem1_reports(capsys):
     code, out, _ = run_capture(capsys, ["theorem1", "--n", "2"])
     assert code == 0

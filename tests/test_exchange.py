@@ -231,14 +231,17 @@ def test_translation_exchange_structure():
 
 def test_rational_dependence_detection():
     alpha, beta = phi_power(-2), phi_power(-3)   # 2 alpha + beta = 1
-    dep = rational_dependence(alpha, beta)
-    assert dep is not None
-    n, m, k = dep
+    n, m, k = rational_dependence(alpha, beta)
+    assert (n, m, k) == (-2, -1, -1)
     assert n * alpha + m * beta == QPhi(k)
     with pytest.raises(ExchangeError):
         build_translation_exchange(alpha, beta)
-    # phi and (23/29) phi admit no small integer relation over the rationals
-    assert rational_dependence(QPhi(0, 1), QPhi(0, Fraction(23, 29))) is None
+    # the relation may lie beyond any search bound: 23 phi - 29 (23/29) phi
+    assert rational_dependence(QPhi(0, 1), QPhi(0, Fraction(23, 29))) \
+        == (-23, 29, 0)
+    # both rational: the relation clears alpha's denominator
+    assert rational_dependence(QPhi(Fraction(1, 2)), QPhi(Fraction(1, 3))) \
+        == (-2, 0, -1)
 
 
 def test_sample_points_in_domain(base):

@@ -6,9 +6,7 @@ from phiplane.exchange import (Point, build_base_exchange,
                                build_translation_exchange, exchange_tower,
                                sample_points)
 from phiplane.field import ONE, QPhi, ZERO, phi_power
-from phiplane.refine import (complexity_table, horizon_chain,
-                             language_from_refinement, matching_horizon,
-                             max_cell_area, preimage, refine,
+from phiplane.refine import (chain_language, complexity_table, preimage,
                              refinement_chain, three_distance_gaps)
 from phiplane.words import factors
 
@@ -25,15 +23,13 @@ def translation():
 
 
 def test_depth_one_cells_are_pieces(base):
-    cells = refine(base, 1)
+    cells = refinement_chain(base, 1)[-1]
     assert [c.word for c in cells] == [(1,), (2,)]
     assert cells[0].cell_area == phi_power(-1)
     assert cells[1].cell_area == phi_power(-2)
 
 
 def test_depth_rejects_nonpositive(base):
-    with pytest.raises(ValueError):
-        refine(base, 0)
     with pytest.raises(ValueError):
         refinement_chain(base, 0)
 
@@ -46,14 +42,17 @@ def test_cell_areas_partition_domain(base):
 
 
 def test_refine_matches_chain(base):
-    chain = refinement_chain(base, 4)
-    assert [c.word for c in refine(base, 4)] == [c.word for c in chain[-1]]
+    # a longer chain starts with the shorter one: callers slice chains
+    def words(chain):
+        return [[c.word for c in cells] for cells in chain]
+    assert words(refinement_chain(base, 4)[:3]) == \
+        words(refinement_chain(base, 3))
 
 
 def test_cell_words_cover_orbit_factors(base):
     # every factor observed along long orbits must be a positive-area cell
     depth = 6
-    words = {c.word for c in refine(base, depth)}
+    words = {c.word for c in refinement_chain(base, depth)[-1]}
     for p in sample_points(base, 5, seed=21):
         code = base.compiled.code_orbit(p, 4000)
         assert factors(code, depth) <= words
@@ -64,30 +63,43 @@ def test_translation_complexity_is_square(translation):
     assert table == [(n, (n + 1) ** 2) for n in range(1, 5)]
 
 
+def _horizon(chain):
+    # the matching horizon read off a chain: the largest m with p(k) = k+1
+    # for every k <= m
+    m = 0
+    while m < len(chain) and len(chain[m]) == m + 2:
+        m += 1
+    return m
+
+
 def test_matching_horizon_along_tower():
+    # M(N) = F_{N+2} - 1: p(k) = k+1 for k <= M, then p(M+1) = M+3
     tower = exchange_tower(5)
-    assert [matching_horizon(E, cap=8) for E in tower[:4]] == [1, 2, 4, 7]
-    assert matching_horizon(tower[4], cap=12) == 12
+    for E, m in zip(tower[:4], [1, 2, 4, 7]):
+        counts = [len(cells) for cells in refinement_chain(E, m + 1)]
+        assert counts == [k + 1 for k in range(1, m + 1)] + [m + 3]
+    assert _horizon(refinement_chain(tower[4], 12)) == 12
 
 
 def test_horizon_chain_serves_horizon_and_language():
-    # one run gives the horizon and at least min_depth depths
+    # one chain gives the horizon and the language at every depth it holds
     def words(chain):
         return [[c.word for c in cells] for cells in chain]
     for E, want in zip(exchange_tower(4), [1, 2, 4, 7]):
-        m, chain = horizon_chain(E, 8, min_depth=6)
-        assert m == want
-        assert len(chain) == max(6, m + 1)
-        assert words(chain) == words(refinement_chain(E, len(chain)))
-    assert horizon_chain(E, 3, min_depth=5) == (3, refinement_chain(E, 5))
-    assert horizon_chain(E, 0) == (0, [])
+        chain = refinement_chain(E, max(6, want + 1))
+        assert _horizon(chain) == want
+        assert words(chain[:want + 1]) == \
+            words(refinement_chain(E, want + 1))
+        lang = chain_language(E, chain)
+        for n, cells in enumerate(chain, start=1):
+            assert lang.complexity(n) == len(cells)
 
 
-def test_language_from_refinement_consistent(base):
-    lang = language_from_refinement(base, 4)
-    table = dict(complexity_table(base, 4))
-    for n in range(1, 5):
-        assert lang.complexity(n) == table[n]
+def test_chain_language_consistent(base):
+    chain = refinement_chain(base, 4)
+    lang = chain_language(base, chain)
+    for n, cells in enumerate(chain, start=1):
+        assert lang.complexity(n) == len(cells)
     assert lang.complexity(0) == 1
 
 
@@ -99,7 +111,7 @@ def test_preimage_is_exact(which, depth, base, translation):
     E = (exchange_tower(4)[-1] if which == "level4"
          else {"level1": base, "translation": translation}[which])
     steps = [(p, *E.step(p)) for p in sample_points(E, 40, seed=5)]
-    for cell in refine(E, depth):
+    for cell in refinement_chain(E, depth)[-1]:
         pre = {piece.label: preimage(E, piece.label, cell.region)
                for piece in E.pieces}
         for p, label, q in steps:
@@ -108,7 +120,8 @@ def test_preimage_is_exact(which, depth, base, translation):
 
 
 def test_max_cell_area_decreases(base):
-    areas = [max_cell_area(cells) for cells in refinement_chain(base, 5)]
+    areas = [max(c.cell_area for c in cells)
+             for cells in refinement_chain(base, 5)]
     for a, b in zip(areas, areas[1:]):
         assert b <= a
     assert areas[-1] < areas[0]
@@ -128,4 +141,5 @@ def test_three_distance_bounds_translation_cells(translation):
     n = 3
     gx = three_distance_gaps(phi_power(-2), n)[-1]
     gy = three_distance_gaps(phi_power(-3), n)[-1]
-    assert max_cell_area(refine(translation, n + 1)) <= gx * gy
+    cells = refinement_chain(translation, n + 1)[-1]
+    assert max(c.cell_area for c in cells) <= gx * gy
