@@ -201,8 +201,7 @@ def check_theorem1_desk_scale() -> tuple[bool, str]:
             if not scenarios.scenario_relation(sc).is_nonzero():
                 return False, f"zero relation in step {n}: {sc.name}"
             total += 1
-    E = build_translation_exchange(phi_power(-2), phi_power(-3),
-                                  check_independence=False)
+    E = build_translation_exchange(phi_power(-2), phi_power(-3))
     table = complexity_table(E, 8)
     for n, p in table:
         if p != (n + 1) ** 2:

@@ -15,7 +15,7 @@ from . import birkhoff, words
 from .refine import complexity_table
 from .exchange import (ExchangeError, build_base_exchange,
                        build_translation_exchange, exchange_tower,
-                       renormalization_checks)
+                       rational_dependence, renormalization_checks)
 from .field import QPhi
 from .render import exchange_svg, serialize_exchange
 
@@ -120,11 +120,14 @@ def run(argv: list[str]) -> int:
     elif args.command == "translation":
         _positive(ap, max_n=args.max_n)
         try:
-            E = build_translation_exchange(
-                args.alpha, args.beta,
-                check_independence=not args.allow_dependent)
+            E = build_translation_exchange(args.alpha, args.beta)
         except ExchangeError as e:
             print(f"hypothesis check failed: {e}", file=sys.stderr)
+            return EXIT_CHECK_FAILED
+        if not args.allow_dependent:
+            n, m, k = rational_dependence(args.alpha, args.beta)
+            print("hypothesis check failed: 1, alpha, beta rationally "
+                  f"dependent: {n}*alpha + {m}*beta = {k}", file=sys.stderr)
             return EXIT_CHECK_FAILED
         emit("n,p_n")
         for n, p in complexity_table(E, args.max_n):

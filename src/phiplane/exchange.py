@@ -360,15 +360,15 @@ def rational_dependence(alpha: QPhi, beta: QPhi) -> tuple[int, int, int]:
     return n * k.denominator, m * k.denominator, int(k * k.denominator)
 
 
-def build_translation_exchange(alpha: QPhi, beta: QPhi,
-                               check_independence: bool = True) -> PieceExchange:
-    """Carry partition of the unit square under (x+alpha, y+beta)."""
+def build_translation_exchange(alpha: QPhi, beta: QPhi) -> PieceExchange:
+    """Carry partition of the unit square under (x+alpha, y+beta).
+
+    Over Q(phi) the numbers 1, alpha, beta are always rationally
+    dependent (see `rational_dependence`), so Theorem 1's independence
+    hypothesis is left to the caller.
+    """
     if not (ZERO < alpha < ONE and ZERO < beta < ONE):
         raise ExchangeError("alpha and beta must lie strictly in (0, 1)")
-    if check_independence:
-        n, m, k = rational_dependence(alpha, beta)
-        raise ExchangeError(
-            f"1, alpha, beta rationally dependent: {n}*alpha + {m}*beta = {k}")
     zero_b = QuadBound(ZERO, ZERO, ZERO)
     one_b = QuadBound(ZERO, ZERO, ONE)
     ca = ONE - alpha

@@ -6,6 +6,9 @@ phi is irrational that form is unique, so equality is a comparison of
 integers, and phi**2 = phi + 1 reduces every product back to it.  All
 arithmetic is plain integer arithmetic with one gcd per result, and all
 comparisons go through one exact integer sign routine, `sgn_pair`.  The
+fused predicates `cmp(x, y)` (the sign of x - y) and `sgn_affine(d1, d0,
+x)` (the sign of d1*x + d0) evaluate in integers with one `sgn_pair`
+call, building no element and taking no gcd.  The
 rational coordinates a, b of a + b*phi stay available as `Fraction`
 properties.  A double-precision embedding with a certified error bound
 serves rendering and filters; it never decides a branch on its own.
@@ -41,6 +44,33 @@ def sgn_pair(A: int, B: int) -> int:
     if u <= 0:
         return -1
     return 1 if u * u > 5 * B * B else -1
+
+
+def cmp(x: "QPhi", y: "QPhi") -> int:
+    """Exact sign of x - y, with no allocation and no gcd.
+
+    Both denominators are positive, so x - y has the sign of
+    (A*D' - A'*D) + (B*D' - B'*D)*phi.
+    """
+    D, E = x._D, y._D
+    if D == E:
+        return sgn_pair(x._A - y._A, x._B - y._B)
+    return sgn_pair(x._A * E - y._A * D, x._B * E - y._B * D)
+
+
+def sgn_affine(d1: "QPhi", d0: "QPhi", x: "QPhi") -> int:
+    """Exact sign of d1*x + d0, with no allocation and no gcd.
+
+    The product d1*x is (A1*Ax + B1*Bx + (A1*Bx + B1*Ax + B1*Bx)*phi)
+    over D1*Dx; the sum is brought over D1*Dx*D0 > 0.
+    """
+    A1, B1, D1 = d1._A, d1._B, d1._D
+    Ax, Bx, Dx = x._A, x._B, x._D
+    A0, B0, D0 = d0._A, d0._B, d0._D
+    bb = B1 * Bx
+    D = D1 * Dx
+    return sgn_pair((A1 * Ax + bb) * D0 + A0 * D,
+                    (A1 * Bx + B1 * Ax + bb) * D0 + B0 * D)
 
 
 _new = object.__new__
@@ -222,15 +252,23 @@ class QPhi:
         return hash((self._A, self._B, self._D))
 
     def __lt__(self, other: "QPhi | RationalLike") -> bool:
+        if other.__class__ is QPhi:
+            return cmp(self, other) < 0
         return (self - other).sign() < 0
 
     def __le__(self, other: "QPhi | RationalLike") -> bool:
+        if other.__class__ is QPhi:
+            return cmp(self, other) <= 0
         return (self - other).sign() <= 0
 
     def __gt__(self, other: "QPhi | RationalLike") -> bool:
+        if other.__class__ is QPhi:
+            return cmp(self, other) > 0
         return (self - other).sign() > 0
 
     def __ge__(self, other: "QPhi | RationalLike") -> bool:
+        if other.__class__ is QPhi:
+            return cmp(self, other) >= 0
         return (self - other).sign() >= 0
 
     def __abs__(self) -> "QPhi":

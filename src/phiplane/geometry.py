@@ -4,15 +4,21 @@ A strip is the set of points between two quadratic graphs over an
 x-interval.  Within one exchange all strip bounds share the same
 leading coefficient, so every bound comparison reduces to an affine
 function with a root in Q(phi); region intersection and subtraction
-split the x-axis at those roots and stay exact.
+split the x-axis at those roots and stay exact.  Comparisons are the
+fused predicates of `field` (`cmp`, `sgn_affine`), decided in integers
+without building the difference, and the active bounds between two
+cuts are read from a table of pairwise signs rather than found by
+evaluating the bounds.  Only values that are stored (roots that become
+cuts, bound values that become extents) are built as elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .field import HALF, QPhi, ZERO
+from .field import HALF, QPhi, ZERO, cmp, sgn_affine
 
 
 class GeometryError(ValueError):
@@ -56,19 +62,24 @@ class Strip:
 
     def area(self) -> QPhi:
         # upper - lower is affine: the shared c2 must cancel
-        d2 = self.upper.c2 - self.lower.c2
-        if d2.sign() != 0:
+        if cmp(self.upper.c2, self.lower.c2) != 0:
             raise GeometryError("strip bounds do not share a leading coefficient")
         d1 = self.upper.c1 - self.lower.c1
         d0 = self.upper.c0 - self.lower.c0
         a, b = self.x_lo, self.x_hi
         return d1 * (b * b - a * a) * HALF + d0 * (b - a)
 
+    @cached_property
+    def x_box(self) -> tuple[float, float]:
+        """Floats certain to enclose [x_lo, x_hi] (`QPhi.float_bounds`),
+        computed once per strip for the region operations' pair filter."""
+        return self.x_lo.float_bounds()[0], self.x_hi.float_bounds()[1]
+
     def x_contains(self, x: QPhi) -> bool:
-        s = (x - self.x_lo).sign()
+        s = cmp(x, self.x_lo)
         if s < 0 or (s == 0 and not self.lo_closed):
             return False
-        s = (self.x_hi - x).sign()
+        s = cmp(self.x_hi, x)
         if s < 0 or (s == 0 and not self.hi_closed):
             return False
         return True
@@ -76,42 +87,48 @@ class Strip:
     def contains(self, x: QPhi, y: QPhi) -> bool:
         if not self.x_contains(x):
             return False
-        s = (y - self.lower(x)).sign()
+        s = cmp(y, self.lower(x))
         if s < 0 or (s == 0 and not self.lower_closed):
             return False
-        s = (self.upper(x) - y).sign()
+        s = cmp(self.upper(x), y)
         if s < 0 or (s == 0 and not self.upper_closed):
             return False
         return True
 
     def closure_contains(self, x: QPhi, y: QPhi) -> bool:
-        if (x - self.x_lo).sign() < 0 or (self.x_hi - x).sign() < 0:
+        if cmp(x, self.x_lo) < 0 or cmp(self.x_hi, x) < 0:
             return False
-        return (y - self.lower(x)).sign() >= 0 and (self.upper(x) - y).sign() >= 0
+        return cmp(y, self.lower(x)) >= 0 and cmp(self.upper(x), y) >= 0
 
     def slice_nonempty_at(self, x: QPhi) -> bool:
         """Whether the vertical slice at x contains a point of the strip."""
         if not self.x_contains(x):
             return False
-        d = (self.upper(x) - self.lower(x)).sign()
+        d = cmp(self.upper(x), self.lower(x))
         if d > 0:
             return True
         return d == 0 and self.lower_closed and self.upper_closed
 
     def y_abs_bound(self) -> QPhi:
         """Max of |lower|, |upper| over the interval, exact."""
-        best = ZERO
+        top = bot = ZERO        # the largest and the smallest value seen
         for bound in (self.lower, self.upper):
             xs = [self.x_lo, self.x_hi]
-            if bound.c2.sign() != 0:
-                vx = -bound.c1 / (2 * bound.c2)
-                if (vx - self.x_lo).sign() > 0 and (self.x_hi - vx).sign() > 0:
-                    xs.append(vx)
+            if bound.c2:
+                # the vertex -c1/(2 c2) lies strictly inside exactly when
+                # the slope 2 c2 x + c1 changes sign between the ends
+                slope = bound.c2 * 2
+                if sgn_affine(slope, bound.c1, self.x_lo) \
+                        * sgn_affine(slope, bound.c1, self.x_hi) < 0:
+                    xs.append(-bound.c1 / slope)
             for x in xs:
-                v = abs(bound(x))
-                if (v - best).sign() > 0:
-                    best = v
-        return best
+                v = bound(x)
+                if cmp(v, top) > 0:
+                    top = v
+                elif cmp(v, bot) < 0:
+                    bot = v
+        bot = -bot
+        return top if cmp(top, bot) >= 0 else bot
 
 
 @dataclass(frozen=True)
@@ -136,9 +153,9 @@ class Region:
         lo = self.strips[0].x_lo
         hi = self.strips[0].x_hi
         for s in self.strips[1:]:
-            if (s.x_lo - lo).sign() < 0:
+            if cmp(s.x_lo, lo) < 0:
                 lo = s.x_lo
-            if (s.x_hi - hi).sign() > 0:
+            if cmp(s.x_hi, hi) > 0:
                 hi = s.x_hi
         return lo, hi
 
@@ -146,7 +163,7 @@ class Region:
         best = ZERO
         for s in self.strips:
             v = s.y_abs_bound()
-            if (v - best).sign() > 0:
+            if cmp(v, best) > 0:
                 best = v
         return best
 
@@ -174,7 +191,7 @@ EMPTY_REGION = Region(())
 
 def merge_strips(strips: Iterable[Strip]) -> tuple[Strip, ...]:
     """Drop empty strips and fuse x-adjacent strips with equal bounds."""
-    kept = [s for s in strips if (s.x_hi - s.x_lo).sign() > 0]
+    kept = [s for s in strips if cmp(s.x_hi, s.x_lo) > 0]
     kept.sort(key=lambda s: (float(s.x_lo), float(s.x_hi)))
     out: list[Strip] = []
     for s in kept:
@@ -198,85 +215,93 @@ def merge_strips(strips: Iterable[Strip]) -> tuple[Strip, ...]:
 Constraint = tuple[QuadBound, bool]  # bound and whether equality is allowed
 
 
-def _affine_root(f: QuadBound, g: QuadBound) -> QPhi | None:
-    """Root of f - g, which must be affine (shared leading coefficient)."""
-    if (f.c2 - g.c2).sign() != 0:
-        raise GeometryError("bound comparison is not affine: level mismatch")
-    d1 = f.c1 - g.c1
-    if d1.sign() == 0:
-        return None
-    return -(f.c0 - g.c0) / d1
-
-
 def strips_from_constraints(x_lo: QPhi, x_hi: QPhi,
                             lowers: Sequence[Constraint],
                             uppers: Sequence[Constraint]) -> list[Strip]:
     """Strips of {x in [x_lo,x_hi), all lowers <(=) y <(=) all uppers}.
 
     Splits the interval at the roots of every pairwise affine bound
-    difference; inside each piece the active max-lower and min-upper are
-    constant, so one midpoint evaluation decides them.
+    difference that lie strictly inside it.  A pair table holds the sign
+    of each difference on the first piece, and the cut where it flips
+    if its root is a cut; walking the pieces from left to right, the
+    table picks the active max-lower and min-upper and tests emptiness
+    without evaluating a bound.
     """
-    if (x_hi - x_lo).sign() <= 0:
+    if cmp(x_hi, x_lo) <= 0:
         return []
     bounds = [c[0] for c in lowers] + [c[0] for c in uppers]
-    cuts = {x_lo, x_hi}
-    for i in range(len(bounds)):
-        for j in range(i + 1, len(bounds)):
-            root = _affine_root(bounds[i], bounds[j])
-            if root is not None and (root - x_lo).sign() > 0 \
-                    and (x_hi - root).sign() > 0:
-                cuts.add(root)
-    points = sorted(cuts, key=float)
-    # float sort is a heuristic ordering; enforce exactness
-    for a, b in zip(points, points[1:]):
-        if (b - a).sign() <= 0:
-            points = _exact_sort(points)
-            break
+    closed = [c[1] for c in lowers] + [c[1] for c in uppers]
+    n, n_lo = len(bounds), len(lowers)
+    sign: dict[tuple[int, int], int] = {}   # (i, j), i < j: sign of b_i - b_j
+    flips: dict[QPhi, list[tuple[int, int]]] = {}   # root -> pairs it flips
+    for i in range(n):
+        f = bounds[i]
+        for j in range(i + 1, n):
+            g = bounds[j]
+            if cmp(f.c2, g.c2) != 0:
+                raise GeometryError(
+                    "bound comparison is not affine: level mismatch")
+            if f.c1 == g.c1:
+                sign[i, j] = cmp(f.c0, g.c0)
+                continue
+            d1, d0 = f.c1 - g.c1, f.c0 - g.c0
+            s_lo, s_hi = sgn_affine(d1, d0, x_lo), sgn_affine(d1, d0, x_hi)
+            if s_lo * s_hi < 0:
+                flips.setdefault(-d0 / d1, []).append((i, j))
+            sign[i, j] = s_lo or s_hi
+    points = [x_lo, x_hi]
+    if flips:
+        points = sorted(points + list(flips), key=float)
+        # float sort is a heuristic ordering; enforce exactness
+        for a, b in zip(points, points[1:]):
+            if cmp(b, a) <= 0:
+                points = _exact_sort(points)
+                break
     out: list[Strip] = []
     for a, b in zip(points, points[1:]):
-        xm = (a + b) * HALF
-        lo_b, lo_c = _active(lowers, xm, pick_max=True)
-        up_b, up_c = _active(uppers, xm, pick_max=False)
-        if (up_b(xm) - lo_b(xm)).sign() <= 0:
+        for pair in flips.get(a, ()):
+            sign[pair] = -sign[pair]
+        lo, lo_c = _active(sign, closed, 0, n_lo, -1)
+        up, up_c = _active(sign, closed, n_lo, n, 1)
+        if sign[lo, up] >= 0:
             continue
-        out.append(Strip(a, b, lo_b, up_b,
+        out.append(Strip(a, b, bounds[lo], bounds[up],
                          lower_closed=lo_c, upper_closed=up_c))
     return out
+
+
+def _active(sign: dict[tuple[int, int], int], closed: list[bool],
+            start: int, stop: int, beaten: int) -> tuple[int, bool]:
+    """The first of bounds start..stop-1 that no other one beats, where
+    i beats best when sign[best, i] == beaten, and whether equality is
+    allowed: tied bounds allow it only if every one of them does."""
+    best, c = start, closed[start]
+    for i in range(start + 1, stop):
+        s = sign[best, i]
+        if s == beaten:
+            best, c = i, closed[i]
+        elif s == 0:
+            c = c and closed[i]
+    return best, c
 
 
 def _exact_sort(points: list[QPhi]) -> list[QPhi]:
     out: list[QPhi] = []
     for p in points:
         i = 0
-        while i < len(out) and (p - out[i]).sign() > 0:
+        while i < len(out) and cmp(p, out[i]) > 0:
             i += 1
-        if i == len(out) or (p - out[i]).sign() != 0:
+        if i == len(out) or cmp(p, out[i]) != 0:
             out.insert(i, p)
     return out
-
-
-def _active(constraints: Sequence[Constraint], x: QPhi,
-            pick_max: bool) -> Constraint:
-    best, closed = constraints[0]
-    bv = best(x)
-    for b, c in constraints[1:]:
-        v = b(x)
-        s = (v - bv).sign()
-        if (s > 0 and pick_max) or (s < 0 and not pick_max):
-            best, closed, bv = b, c, v
-        elif s == 0:
-            # tied bounds: equality allowed only if every active one allows it
-            closed = closed and c
-    return best, closed
 
 
 # -- interval helpers ---------------------------------------------------
 
 def _x_overlap(a: Strip, b: Strip) -> tuple[QPhi, QPhi] | None:
-    lo = a.x_lo if (a.x_lo - b.x_lo).sign() >= 0 else b.x_lo
-    hi = a.x_hi if (a.x_hi - b.x_hi).sign() <= 0 else b.x_hi
-    if (hi - lo).sign() <= 0:
+    lo = a.x_lo if cmp(a.x_lo, b.x_lo) >= 0 else b.x_lo
+    hi = a.x_hi if cmp(a.x_hi, b.x_hi) <= 0 else b.x_hi
+    if cmp(hi, lo) <= 0:
         return None
     return lo, hi
 
@@ -298,10 +323,10 @@ def _strip_subtract(a: Strip, b: Strip) -> list[Strip]:
         return [a]
     lo, hi = ov
     out: list[Strip] = []
-    if (lo - a.x_lo).sign() > 0:
+    if cmp(lo, a.x_lo) > 0:
         out.append(Strip(a.x_lo, lo, a.lower, a.upper,
                          a.lo_closed, False, a.lower_closed, a.upper_closed))
-    if (a.x_hi - hi).sign() > 0:
+    if cmp(a.x_hi, hi) > 0:
         out.append(Strip(hi, a.x_hi, a.lower, a.upper,
                          True, a.hi_closed, a.lower_closed, a.upper_closed))
     # inside the overlap: below b's band, then above it
@@ -316,19 +341,16 @@ def _strip_subtract(a: Strip, b: Strip) -> list[Strip]:
     return out
 
 
-# Pair prefilter: each strip's x-interval widened to floats that are
-# certain to contain it (QPhi.float_bounds).  Pairs whose widened
-# intervals are apart are x-disjoint and skipped; every other pair is
-# decided by the exact overlap test in _strip_intersect/_strip_subtract.
-def _x_box(s: Strip) -> tuple[float, float]:
-    return s.x_lo.float_bounds()[0], s.x_hi.float_bounds()[1]
-
+# Pair prefilter: pairs whose x-boxes (`Strip.x_box`, floats certain to
+# enclose the x-interval) are apart are x-disjoint and skipped; every
+# other pair is decided by the exact overlap test in
+# _strip_intersect/_strip_subtract.
 
 def region_intersect(a: Region, b: Region) -> Region:
     out: list[Strip] = []
-    bf = [_x_box(sb) for sb in b.strips]
+    bf = [sb.x_box for sb in b.strips]
     for sa in a.strips:
-        alo, ahi = _x_box(sa)
+        alo, ahi = sa.x_box
         for sb, (blo, bhi) in zip(b.strips, bf):
             if ahi < blo or bhi < alo:
                 continue
@@ -337,20 +359,19 @@ def region_intersect(a: Region, b: Region) -> Region:
 
 
 def region_subtract(a: Region, b: Region) -> Region:
-    current = [(sa, *_x_box(sa)) for sa in a.strips]
+    current = list(a.strips)
     for sb in b.strips:
-        blo, bhi = _x_box(sb)
-        nxt: list[tuple[Strip, float, float]] = []
-        for item in current:
-            sa, alo, ahi = item
+        blo, bhi = sb.x_box
+        nxt: list[Strip] = []
+        for sa in current:
+            alo, ahi = sa.x_box
             if ahi < blo or bhi < alo:
-                nxt.append(item)
+                nxt.append(sa)
                 continue
-            for s in _strip_subtract(sa, sb):
-                if (s.x_hi - s.x_lo).sign() > 0:
-                    nxt.append((s, *_x_box(s)))
+            nxt.extend(s for s in _strip_subtract(sa, sb)
+                       if cmp(s.x_hi, s.x_lo) > 0)
         current = nxt
-    return Region.of([s for s, _, _ in current])
+    return Region.of(current)
 
 
 def is_subset(a: Region, b: Region) -> bool:

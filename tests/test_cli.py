@@ -54,8 +54,7 @@ def test_serialize_rejects_other_bases(base):
 
 
 def test_serialize_roundtrip_translation():
-    E = build_translation_exchange(phi_power(-2), phi_power(-3),
-                                  check_independence=False)
+    E = build_translation_exchange(phi_power(-2), phi_power(-3))
     back = parse_exchange(serialize_exchange(E))
     assert back == E
 

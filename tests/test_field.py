@@ -5,8 +5,8 @@ from math import floor, gcd
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from phiplane.field import (HALF, ONE, PHI, QPhi, ZERO, FieldError,
-                            phi_power, _fib_pair)
+from phiplane.field import (HALF, ONE, PHI, QPhi, ZERO, FieldError, cmp,
+                            phi_power, sgn_affine, _fib_pair)
 
 
 def test_normal_form_and_equality():
@@ -235,6 +235,30 @@ def test_sign_of_large_coefficients_agrees_with_approx(p, q, r):
     # approx is within |b| * 2**-400 of the value
     assume(abs(v) > 2 * abs(x.b) / 2 ** 400)
     assert x.sign() == (1 if v > 0 else -1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values, values, values)
+def test_fused_predicates_match_differences(x, y, z):
+    assert cmp(x, y) == (x - y).sign() == -cmp(y, x)
+    assert cmp(x, x) == 0
+    assert sgn_affine(x, y, z) == (x * z + y).sign()
+    assert sgn_affine(ZERO, y, z) == y.sign()
+
+
+@settings(max_examples=300, deadline=None)
+@given(powers, powers, coeff, st.integers(-200, 200))
+def test_fused_predicates_of_large_coefficients_agree_with_approx(p, q, r, k):
+    # x and y = x + r*phi**k differ by as little as phi**-200 * |r|
+    x = p * q
+    y = x + phi_power(k) * r
+    v = x.approx(400) - y.approx(400)
+    # approx is within |b| * 2**-400 of the value
+    assume(abs(v) > 2 * (abs(x.b) + abs(y.b)) / 2 ** 400)
+    assert cmp(x, y) == (1 if v > 0 else -1)
+    w = (y * q).approx(400) + x.approx(400)
+    assume(abs(w) > 2 * (abs((y * q).b) + abs(x.b)) / 2 ** 400)
+    assert sgn_affine(y, x, q) == (1 if w > 0 else -1)
 
 
 def test_large_power_identities():

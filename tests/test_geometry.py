@@ -273,3 +273,129 @@ def test_random_region_ops_match_membership(data):
         st.lists(st.tuples(grid, grid), min_size=30, max_size=30))]
     _check_ops(a, b, region_intersect(a, b), region_subtract(a, b), pts)
     assert region_intersect(a, b).area() == region_intersect(b, a).area()
+
+
+# -- the pair table against midpoint evaluation -------------------------
+
+def _midpoint_strips(x_lo, x_hi, lowers, uppers):
+    """Reference strips_from_constraints: cut at every root inside the
+    interval, then evaluate every bound at each piece's midpoint."""
+    if (x_hi - x_lo).sign() <= 0:
+        return []
+    bounds = [c[0] for c in lowers] + [c[0] for c in uppers]
+    cuts = {x_lo, x_hi}
+    for i, f in enumerate(bounds):
+        for g in bounds[i + 1:]:
+            if (f.c2 - g.c2).sign() != 0:
+                raise GeometryError("level mismatch")
+            d1 = f.c1 - g.c1
+            if d1.sign() != 0:
+                root = -(f.c0 - g.c0) / d1
+                if (root - x_lo).sign() > 0 and (x_hi - root).sign() > 0:
+                    cuts.add(root)
+    points = sorted(cuts, key=functools.cmp_to_key(lambda p, q: (p - q).sign()))
+
+    def active(constraints, x, pick_max):
+        best, closed = constraints[0]
+        bv = best(x)
+        for b, c in constraints[1:]:
+            s = (b(x) - bv).sign()
+            if (s > 0 and pick_max) or (s < 0 and not pick_max):
+                best, closed, bv = b, c, b(x)
+            elif s == 0:
+                closed = closed and c
+        return best, closed
+
+    out = []
+    for a, b in zip(points, points[1:]):
+        xm = (a + b) * HALF
+        lo_b, lo_c = active(lowers, xm, True)
+        up_b, up_c = active(uppers, xm, False)
+        if (up_b(xm) - lo_b(xm)).sign() > 0:
+            out.append(Strip(a, b, lo_b, up_b,
+                             lower_closed=lo_c, upper_closed=up_c))
+    return out
+
+
+def _strip_tuple(s: Strip):
+    return (s.x_lo.scaled(), s.x_hi.scaled(),
+            tuple(c.scaled() for c in (s.lower.c2, s.lower.c1, s.lower.c0)),
+            tuple(c.scaled() for c in (s.upper.c2, s.upper.c1, s.upper.c0)),
+            s.lo_closed, s.hi_closed, s.lower_closed, s.upper_closed)
+
+
+_slopes = st.sampled_from([Q(1), Q(-1), HALF, Q(-2), PHI, -PHI,
+                           phi_power(-3), -phi_power(-5)])
+
+
+@st.composite
+def _constraint_set(draw):
+    """Bounds sharing c2 whose pairwise crossings fall on x_lo, on x_hi,
+    at a shared point inside or anywhere; some bounds repeat exactly."""
+    c2 = draw(st.sampled_from([ZERO, HALF, PHI, -phi_power(-2)]))
+    x_lo = draw(_coef) + draw(st.sampled_from([ZERO, phi_power(-4)]))
+    x_hi = x_lo + draw(st.sampled_from([ZERO, Q(-1), Q(1), HALF, PHI]))
+    inner = x_lo + (x_hi - x_lo) * Q(Fraction(1, 3))
+    base = QuadBound(c2, draw(_coef), draw(_coef))
+    pool = [base]
+    for _ in range(draw(st.integers(1, 4))):
+        f = draw(st.sampled_from(pool))
+        kind = draw(st.sampled_from(["at", "shift", "same"]))
+        if kind == "at":        # crosses f at x_lo, x_hi, inner or a quarter
+            r = draw(st.sampled_from([x_lo, x_hi, inner, draw(_coef)]))
+            m = draw(_slopes)
+            pool.append(f.add_affine(m, -m * r))
+        elif kind == "shift":   # parallel to f
+            pool.append(f.add_affine(ZERO, draw(_coef)))
+        else:                   # the same bound again, a separate object
+            pool.append(QuadBound(f.c2, f.c1, f.c0))
+
+    def constraints():
+        out = draw(st.lists(st.tuples(st.sampled_from(pool), st.booleans()),
+                            min_size=1, max_size=3))
+        if draw(st.booleans()):     # a tie whose flags differ
+            f, c = draw(st.sampled_from(out))
+            out.insert(draw(st.integers(0, len(out))), (f, not c))
+        return out
+    return x_lo, x_hi, constraints(), constraints()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_constraint_set())
+def test_pair_table_matches_midpoint_evaluation(case):
+    x_lo, x_hi, lowers, uppers = case
+    got = strips_from_constraints(x_lo, x_hi, lowers, uppers)
+    want = _midpoint_strips(x_lo, x_hi, lowers, uppers)
+    assert [_strip_tuple(s) for s in got] == [_strip_tuple(s) for s in want]
+
+
+def test_pair_table_keeps_level_mismatch_error():
+    with pytest.raises(GeometryError):
+        strips_from_constraints(Q(0), Q(1), [(const(0), False)],
+                                [(QuadBound(Q(1), ZERO, Q(1)), True)])
+
+
+def _reference_y_abs_bound(s: Strip) -> QPhi:
+    best = ZERO
+    for bound in (s.lower, s.upper):
+        xs = [s.x_lo, s.x_hi]
+        if bound.c2.sign() != 0:
+            vx = -bound.c1 / (2 * bound.c2)
+            if (vx - s.x_lo).sign() > 0 and (s.x_hi - vx).sign() > 0:
+                xs.append(vx)
+        for x in xs:
+            v = abs(bound(x))
+            if (v - best).sign() > 0:
+                best = v
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(_constraint_set(), st.integers(0, 3), st.integers(0, 3))
+def test_y_abs_bound_matches_reference(case, i, j):
+    x_lo, x_hi, lowers, uppers = case
+    if x_hi <= x_lo:
+        x_hi = x_lo + 1
+    s = Strip(x_lo, x_hi, lowers[i % len(lowers)][0],
+              uppers[j % len(uppers)][0])
+    assert s.y_abs_bound() == _reference_y_abs_bound(s)

@@ -18,8 +18,7 @@ def base():
 
 @pytest.fixture(scope="module")
 def translation():
-    return build_translation_exchange(phi_power(-2), phi_power(-3),
-                                      check_independence=False)
+    return build_translation_exchange(phi_power(-2), phi_power(-3))
 
 
 def test_depth_one_cells_are_pieces(base):

@@ -258,7 +258,7 @@ def test_orbit_frequencies_match_translation():
     # empirical piece frequencies recover the translation components:
     # sum_i freq(i) * shift_i approximates (alpha, beta)
     alpha, beta = phi_power(-2), phi_power(-3)
-    E = build_translation_exchange(alpha, beta, check_independence=False)
+    E = build_translation_exchange(alpha, beta)
     p = Point(QPhi(Fraction(1, 97)), QPhi(Fraction(2, 89)))
     code = E.compiled.code_orbit(p, 50000)
     n = len(code)
