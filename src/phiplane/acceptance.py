@@ -245,10 +245,13 @@ def check_unboundedness_evidence() -> tuple[bool, str]:
     tower_levels = 20
     rng = random.Random(9)
     x0s = [QPhi(0)] + [_random_qphi(rng, 16) for _ in range(5)]
+    decades = (100, 1000, 10_000, 100_000)
     for x0 in x0s:
+        records = birkhoff.record_maxima(x0, decades[-1])
         prev = None
-        for N in (100, 1000, 10_000, 100_000):
-            cur = birkhoff.max_abs_sum(x0, N)
+        for N in decades:
+            # max |S_n| over n <= N: the last record by N
+            cur = abs([r for r in records if r.n <= N][-1].value)
             if prev is not None and (cur - prev).sign() <= 0:
                 return False, f"no new |S_n| record in decade {N} for {x0}"
             prev = cur

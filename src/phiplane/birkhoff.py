@@ -2,8 +2,9 @@
 
 The fractional parts are tracked incrementally: the step 1/phi**2 lies
 in (0, 1), so each update either stays below 1 or wraps once.  A scaled
-integer fast path keeps million-term runs cheap; a direct floor-based
-evaluation provides an independent cross-check.
+integer fast path, whose tests a certified double-precision estimate
+decides unless it is too close to call, keeps million-term runs cheap;
+a direct floor-based evaluation provides an independent cross-check.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .field import HALF, QPhi, ZERO, phi_power, sgn_pair
+from .field import (FLOAT_ERR, HALF, PHI_FLOAT, QPhi, ZERO, phi_power,
+                    sgn_pair)
 
 STEP = phi_power(-2)                 # 1/phi**2 = 2 - phi
 DRIFT = phi_power(-3) * HALF         # 1/(2 phi**3)
@@ -47,7 +49,17 @@ def birkhoff_sum_direct(x0: QPhi, n: int) -> QPhi:
 
 
 def record_maxima(x0: QPhi, N: int) -> list[SumRecord]:
-    """All n <= N where |S_n| strictly exceeds every earlier |S_j|."""
+    """All n <= N where |S_n| strictly exceeds every earlier |S_j|.
+
+    Every value is a scaled integer pair (A, B) for (A + B*phi)/d.  The
+    wrap test f + 1/phi**2 >= 1 and the record test |S_n| > best are
+    first decided by the double A + B*PHI_FLOAT, whose error is at most
+    `err` for every pair of the run (bounded from N and the start, as in
+    `QPhi.float_bounds`); a test the estimate leaves within its error
+    goes to the exact `sgn_pair`, and so does every record.  Beyond
+    2**52 integers stop converting to floats exactly, and every test is
+    exact.
+    """
     if N < 0:
         raise ValueError("N must be >= 0")
     _, f = x0.floor_frac()
@@ -60,21 +72,37 @@ def record_maxima(x0: QPhi, N: int) -> list[SumRecord]:
     best_a, best_b = 0, 0
     out: list[SumRecord] = []
 
-    def push(n: int, va: int, vb: int) -> None:
-        out.append(SumRecord(n, QPhi.from_scaled(va, vb, d), True))
+    # |fb| grows by d a term; 0 <= f < 2 before a wrap keeps |fa - d|
+    # within 2|fb| + 3d; the sums add N + 1 such terms
+    top_b = abs(fb) + N * d
+    top_a = 2 * top_b + 3 * d
+    fast = (N + 1) * (top_a + top_b) < 2 ** 52
+    err = (N + 1) * (top_a + 2 * top_b) * FLOAT_ERR if fast else 0.0
+    floor = -2 * err                # |S_n| at or below it is no record
 
     for n in range(N + 1):
         if n > 0:
             fa += step_a
             fb += step_b
-            if sgn_pair(fa - d, fb) >= 0:
+            if fast:
+                t = fa - d + fb * PHI_FLOAT
+                wrap = t > err or (t >= -err and sgn_pair(fa - d, fb) >= 0)
+            else:
+                wrap = sgn_pair(fa - d, fb) >= 0
+            if wrap:
                 fa -= d
             sa += fa - half
             sb += fb
+        if fast:
+            t = sa + sb * PHI_FLOAT
+            if -floor <= t <= floor:
+                continue
         aa, ab = (sa, sb) if sgn_pair(sa, sb) >= 0 else (-sa, -sb)
         if sgn_pair(aa - best_a, ab - best_b) > 0:
             best_a, best_b = aa, ab
-            push(n, sa, sb)
+            out.append(SumRecord(n, QPhi.from_scaled(sa, sb, d), True))
+            if fast:
+                floor = abs(t) - 2 * err
     return out
 
 

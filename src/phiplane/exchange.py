@@ -139,7 +139,10 @@ psi_inverse = PSI.inverse().apply
 
 @dataclass(frozen=True)
 class Piece:
-    label: int
+    """A piece and its integer shift; the pieces of a power are labelled
+    by their words."""
+
+    label: int | Word
     region: Region
     shift: tuple[int, int]
 
@@ -188,6 +191,35 @@ class PieceExchange:
 
     def code_orbit(self, p: Point, n: int) -> Word:
         return self.compiled.code_orbit(p, n)
+
+    def power(self, L: int) -> "PieceExchange":
+        """The exchange of T^L: one piece per positive-area depth-L cell,
+        labelled by the cell's word w, whose branch is
+        branch(w_L) @ ... @ branch(w_1) = T^L - (N, M)."""
+        from .refine import refinement_chain
+        if L < 1:
+            raise ExchangeError("a power needs L >= 1")
+        base = self.base
+        for _ in range(L - 1):
+            base = self.base @ base
+        # the branch of every word prefix, each from the one before
+        maps = {(p.label,): self.branch(p.label) for p in self.pieces}
+        pieces = []
+        for cell in refinement_chain(self, L)[-1]:
+            w = cell.word
+            for j in range(2, L + 1):
+                if w[:j] not in maps:
+                    maps[w[:j]] = self.branch(w[j - 1]) @ maps[w[:j - 1]]
+            br = maps[w]
+            # translation(-n, -m) @ base differs from base in u and c0 only
+            (n, nb, nd), (m, mb, md) = (base.u - br.u).scaled(), \
+                (base.q.c0 - br.q.c0).scaled()
+            if (br.a, br.s, br.q.c2, br.q.c1, nb, nd, mb, md) != \
+                    (base.a, base.s, base.q.c2, base.q.c1, 0, 1, 0, 1):
+                raise ExchangeError(f"word {w}: branch is not T^{L} minus"
+                                    " an integer shift")
+            pieces.append(Piece(w, cell.region, (n, m)))
+        return PieceExchange(base, tuple(pieces), self.level)
 
     def leading_coefficient(self) -> QPhi:
         return self.pieces[0].region.leading_coefficient()

@@ -8,10 +8,15 @@ every membership test becomes a sign evaluation of an integer pair
 `CompiledExchange` finds the x-cell of a point by bisection over the
 exchange's sorted strip endpoints and tests y only against the strips
 covering that cell, so a step costs about log2(#endpoints) + 2 sign
-tests at every level.  Measured on a shared 2-vCPU host (Python 3.11,
-in-process medians): about 2.5e5 steps/s at level 1, 2e5 at level 8
-and 1.5e5 at level 12, where a scan over every strip gave 1.7e5, 2e4
-and 3e3.
+tests at every level.  Long runs go JUMP_LENGTH symbols at a time: the
+same search over the depth-L coding cells of `PieceExchange.power`
+gives a cell's whole word and its branch, an integer-slope shear like
+every single branch.  Measured on a shared 2-vCPU host (Python 3.11.7,
+in-process medians of 2 x 20k-step codings), single steps run at about
+2.5e5 steps/s at level 1, 2.2e5 at level 4, 1.8e5 at level 8 and 1.5e5
+at level 12, and macro steps at 8e5, 1.25e6, 1.4e6 and 1e6 symbols/s;
+the jump table takes 0.055, 0.033, 0.27 and 4.5 s to build, hence
+JUMP_AFTER, which leaves it out of runs too short to pay for it.
 """
 
 from __future__ import annotations
@@ -20,8 +25,15 @@ from math import lcm
 
 from .exchange import (ExchangeError, PieceExchange, Point,
                        build_base_exchange)
-from .field import QPhi, sgn_pair
+from .field import QPhi, ZERO, cmp, sgn_pair
 from .words import Word
+
+# L-step jump tables: macro steps of JUMP_LENGTH symbols (8 beat 6 and
+# 10 on long level-1 runs), over an index built once a stepper has been
+# asked for more than JUMP_AFTER steps per strip of its exchange (about
+# where the build pays for itself at levels 1 to 12)
+JUMP_LENGTH = 8
+JUMP_AFTER = 1000
 
 
 def _denoms(x: QPhi) -> int:
@@ -36,61 +48,63 @@ def _pair(x: QPhi, scale: int) -> tuple[int, int]:
     return A * k, B * k
 
 
-class CompiledExchange:
+class _Index:
     """An exact x-sorted breakpoint index and integer strip tables.
 
-    The distinct strip endpoints x_0 < ... < x_{m-1} cut the line into
-    cells: cell 2i is the open gap below x_i (cell 2m lies above
-    x_{m-1}) and cell 2i+1 is the point x_i.  A strip covers a run of
-    consecutive cells, its endpoints included as `lo_closed` and
-    `hi_closed` say.  Each cell lists the strips covering it in piece
-    order and then strip order, so earlier pieces win overlaps as in
-    `PieceExchange.locate`.
+    The distinct strip endpoints x_0 < ... < x_{m-1}, with any `extra`
+    breakpoints, cut the line into cells: cell 2i is the open gap below
+    x_i (cell 2m lies above x_{m-1}) and cell 2i+1 is the point x_i.  A
+    strip covers a run of consecutive cells, its endpoints included as
+    `lo_closed` and `hi_closed` say.  Each cell lists the strips
+    covering it in piece order and then strip order, so earlier pieces
+    win overlaps as in `PieceExchange.locate`.
     """
 
-    def __init__(self, exchange: PieceExchange) -> None:
-        self.exchange = exchange
+    def __init__(self, exchange: PieceExchange, extra=()) -> None:
         d = 1
-        self._strips = []
-        self._moves = {}
+        self.strips = []
+        self.moves = {}
         for piece in exchange.pieces:
             br = exchange.branch(piece.label)
             k, kb, kd = br.q.c1.scaled()
             if br.a != 1 or br.s != 1 or br.q.c2 or (kb, kd) != (0, 1):
                 raise ExchangeError(f"piece {piece.label}: branch is not an"
                                     " integer-slope shear")
-            self._moves[piece.label] = (br.u, br.q.c0, k)
+            self.moves[piece.label] = (br.u, br.q.c0, k)
             d = lcm(d, _denoms(br.u), _denoms(br.q.c0))
             for s in piece.region.strips:
                 if s.lower.c2 != s.upper.c2:
                     raise ExchangeError(
                         f"piece {piece.label}: strip bounds do not share c2")
-                for v in (s.x_lo, s.x_hi,
-                          s.lower.c2, s.lower.c1, s.lower.c0,
+                for v in (s.lower.c2, s.lower.c1, s.lower.c0,
                           s.upper.c1, s.upper.c0):
                     d = lcm(d, _denoms(v))
-                self._strips.append((piece, s))
+                self.strips.append((piece, s))
+        xs = {x for _, s in self.strips for x in (s.x_lo, s.x_hi)}
+        self.xs = xs = sorted(xs.union(extra))
+        for x in xs:
+            d = lcm(d, _denoms(x))
         self.base_den = d
-        xs = sorted({x for _, s in self._strips for x in (s.x_lo, s.x_hi)})
         where = {x: i for i, x in enumerate(xs)}
-        self._xs = xs
         self._cells: list[list[int]] = [[] for _ in range(2 * len(xs) + 1)]
-        for j, (_, s) in enumerate(self._strips):
+        for j, (_, s) in enumerate(self.strips):
             first = 2 * where[s.x_lo] + (1 if s.lo_closed else 2)
             last = 2 * where[s.x_hi] + (1 if s.hi_closed else 0)
             for cell in self._cells[first:last + 1]:
                 cell.append(j)
         self._tables: dict[int, tuple] = {}
 
-    def _table(self, d: int) -> tuple:
+    def table(self, d: int) -> tuple:
+        """The tables at scale d, a multiple of `base_den`: cells of
+        strip rows, the endpoints' integer pairs, and d**2."""
         cached = self._tables.get(d)
         if cached is not None:
             return cached
         d2, d3 = d * d, d * d * d
         moves = {label: (label, *_pair(u, d), *_pair(q0, d), k)
-                 for label, (u, q0, k) in self._moves.items()}
+                 for label, (u, q0, k) in self.moves.items()}
         rows = []
-        for piece, s in self._strips:
+        for piece, s in self.strips:
             # predicate scale d**3: c2*(X*X) has d*d2, c1*X needs d2, c0 needs d3
             c2 = _pair(s.lower.c2, d)
             c1 = _pair(s.lower.c1, d2)
@@ -102,67 +116,180 @@ class CompiledExchange:
                          u0[0] - c0[0], u0[1] - c0[1], s.upper_closed,
                          moves[piece.label]))
         cells = tuple(tuple(rows[j] for j in cell) for cell in self._cells)
-        ends = [_pair(x, d) for x in self._xs]
+        ends = [_pair(x, d) for x in self.xs]
         table = (cells, tuple(a for a, _ in ends), tuple(b for _, b in ends),
                  d2)
         self._tables[d] = table
         return table
 
+
+def _jump_index(exchange: PieceExchange, single: _Index) -> _Index:
+    """The index of `exchange.power(JUMP_LENGTH)`, with its hidden
+    breakpoints.
+
+    A cell's region is exact only up to zero area: where an orbit meets
+    a piece endpoint e at step j < L, the cell may cover the line x =
+    e - (u_{w_1} + ... + u_{w_j}) although L single steps would code it
+    differently or fail there.  Every such x strictly inside one of the
+    cell's strips becomes a breakpoint, so a point on it never takes a
+    macro step.
+    """
+    power = exchange.power(JUMP_LENGTH)
+    hidden = set()
+    for piece in power.pieces:
+        spans = [(s.x_lo, s.x_hi) for s in piece.region.strips]
+        shift = ZERO
+        for label in piece.label:
+            for e in single.xs:
+                x = e - shift
+                if any(cmp(lo, x) < 0 < cmp(hi, x) for lo, hi in spans):
+                    hidden.add(x)
+            shift = shift + single.moves[label][0]
+    return _Index(power, hidden)
+
+
+def _macro(cells, ends_a, ends_b, d2, xa, xb, ya, yb):
+    """The row of the jump cell holding (x, y) strictly inside, or None
+    when any bisection or y sign test is zero or no cell holds it."""
+    lo, hi = 0, len(ends_a)
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        s = sgn_pair(xa - ends_a[mid], xb - ends_b[mid])
+        if s > 0:
+            lo = mid + 1
+        elif s < 0:
+            hi = mid
+        else:
+            return None
+    x2a = xa * xa + xb * xb
+    x2b = 2 * xa * xb + xb * xb
+    yd2a = ya * d2
+    yd2b = yb * d2
+    xab = xa + xb
+    for (c2a, c2b, c1a, c1b, c0a, c0b, _, e1a, e1b, e0a, e0b, _,
+         move) in cells[2 * lo]:
+        va = c2a * x2a + c2b * x2b + c1a * xa + c1b * xb + c0a - yd2a
+        vb = (c2a * x2b + c2b * (x2a + x2b) + c1a * xb + c1b * xab
+              + c0b - yd2b)
+        s = sgn_pair(va, vb)
+        if s > 0:
+            continue
+        if s == 0:
+            return None
+        s = sgn_pair(va + e1a * xa + e1b * xb + e0a,
+                     vb + e1a * xb + e1b * xab + e0b)
+        if s > 0:
+            return move
+        if s == 0:
+            return None
+    return None
+
+
+class CompiledExchange:
+    """The orbit stepper of one exchange: single steps over an `_Index`
+    of its strips and, once a stepper has been asked for more than
+    JUMP_AFTER steps per strip, macro steps of JUMP_LENGTH symbols over
+    an index of `exchange.power(JUMP_LENGTH)`.
+
+    A macro step is taken only when every sign test of its bisection and
+    of its cell's y-bounds is nonzero and x is not a hidden breakpoint
+    (`_jump_index`); anywhere else the stepper takes JUMP_LENGTH single
+    steps, which code, and raise, exactly as `PieceExchange.step` does.
+    """
+
+    def __init__(self, exchange: PieceExchange) -> None:
+        self.exchange = exchange
+        self._index = _Index(exchange)
+        self._asked = 0
+        self._jumps: _Index | None = None
+
+    def _table(self, d: int) -> tuple:
+        return self._index.table(d)
+
     def _run(self, p: Point, n: int, record: bool):
-        d = lcm(self.base_den, _denoms(p.x), _denoms(p.y))
+        self._asked += n
+        jumps = self._jumps
+        if jumps is None and \
+                self._asked > JUMP_AFTER * len(self._index.strips):
+            jumps = self._jumps = _jump_index(self.exchange, self._index)
+        d = lcm(self._index.base_den, _denoms(p.x), _denoms(p.y))
+        if jumps is not None:
+            d = lcm(d, jumps.base_den)
+            macro = jumps.table(d)
         cells, ends_a, ends_b, d2 = self._table(d)
         m = len(ends_a)
         xa, xb = _pair(p.x, d)
         ya, yb = _pair(p.y, d)
         word: list[int] = []
         append = word.append
-        for _ in range(n):
-            # the cell of x: bisection over the endpoints
-            lo, hi = 0, m
-            while lo < hi:
-                mid = (lo + hi) >> 1
-                s = sgn_pair(xa - ends_a[mid], xb - ends_b[mid])
-                if s > 0:
-                    lo = mid + 1
-                elif s < 0:
-                    hi = mid
+        left = n
+        while left:
+            count = left
+            if jumps is not None and left >= JUMP_LENGTH:
+                move = _macro(*macro, xa, xb, ya, yb)
+                if move is not None:
+                    label, ua, ub, qa, qb, k = move
+                    if record:
+                        word.extend(label)
+                    if k:
+                        ya += k * xa
+                        yb += k * xb
+                    xa += ua
+                    xb += ub
+                    ya += qa
+                    yb += qb
+                    left -= JUMP_LENGTH
+                    continue
+                count = JUMP_LENGTH
+            left -= count
+            for _ in range(count):
+                # the cell of x: bisection over the endpoints
+                lo, hi = 0, m
+                while lo < hi:
+                    mid = (lo + hi) >> 1
+                    s = sgn_pair(xa - ends_a[mid], xb - ends_b[mid])
+                    if s > 0:
+                        lo = mid + 1
+                    elif s < 0:
+                        hi = mid
+                    else:
+                        cell = 2 * mid + 1
+                        break
                 else:
-                    cell = 2 * mid + 1
+                    cell = 2 * lo
+                x2a = xa * xa + xb * xb
+                x2b = 2 * xa * xb + xb * xb
+                yd2a = ya * d2
+                yd2b = yb * d2
+                xab = xa + xb
+                for (c2a, c2b, c1a, c1b, c0a, c0b, lc, e1a, e1b, e0a, e0b,
+                     uc, move) in cells[cell]:
+                    # (lower(x) - y) * d**3, then (upper(x) - y) * d**3
+                    va = (c2a * x2a + c2b * x2b + c1a * xa + c1b * xb + c0a
+                          - yd2a)
+                    vb = (c2a * x2b + c2b * (x2a + x2b) + c1a * xb
+                          + c1b * xab + c0b - yd2b)
+                    s = sgn_pair(va, vb)
+                    if s > 0 or (s == 0 and not lc):
+                        continue
+                    s = sgn_pair(va + e1a * xa + e1b * xb + e0a,
+                                 vb + e1a * xb + e1b * xab + e0b)
+                    if s < 0 or (s == 0 and not uc):
+                        continue
                     break
-            else:
-                cell = 2 * lo
-            x2a = xa * xa + xb * xb
-            x2b = 2 * xa * xb + xb * xb
-            yd2a = ya * d2
-            yd2b = yb * d2
-            xab = xa + xb
-            for (c2a, c2b, c1a, c1b, c0a, c0b, lc, e1a, e1b, e0a, e0b, uc,
-                 move) in cells[cell]:
-                # (lower(x) - y) * d**3, then (upper(x) - y) * d**3
-                va = c2a * x2a + c2b * x2b + c1a * xa + c1b * xb + c0a - yd2a
-                vb = (c2a * x2b + c2b * (x2a + x2b) + c1a * xb + c1b * xab
-                      + c0b - yd2b)
-                s = sgn_pair(va, vb)
-                if s > 0 or (s == 0 and not lc):
-                    continue
-                s = sgn_pair(va + e1a * xa + e1b * xb + e0a,
-                             vb + e1a * xb + e1b * xab + e0b)
-                if s < 0 or (s == 0 and not uc):
-                    continue
-                break
-            else:
-                self._fail(xa, xb, ya, yb, d)
-            # the piece's branch (x, y) -> (x + u, y + k*x + q0)
-            label, ua, ub, qa, qb, k = move
-            if record:
-                append(label)
-            if k:
-                ya += k * xa
-                yb += k * xb
-            xa += ua
-            xb += ub
-            ya += qa
-            yb += qb
+                else:
+                    self._fail(xa, xb, ya, yb, d)
+                # the piece's branch (x, y) -> (x + u, y + k*x + q0)
+                label, ua, ub, qa, qb, k = move
+                if record:
+                    append(label)
+                if k:
+                    ya += k * xa
+                    yb += k * xb
+                xa += ua
+                xb += ub
+                ya += qa
+                yb += qb
         return tuple(word)
 
     def _fail(self, xa, xb, ya, yb, d):

@@ -103,8 +103,8 @@ def _reduced(A: int, B: int, D: int) -> "QPhi":
 # double-precision phi, and the relative error bound of __float__ with
 # slack: 8 * 2**-53 covers the five roundings of A/D + (B/D)*phi and the
 # two of the widening itself
-_PHI_FLOAT = 1.618033988749894848
-_FLOAT_ERR = 2.0 ** -50
+PHI_FLOAT = 1.618033988749894848
+FLOAT_ERR = 2.0 ** -50
 _FLOAT_TINY = 1e-300      # absolute slack for subnormal results
 
 
@@ -314,7 +314,7 @@ class QPhi:
         # fast double-precision embedding: rendering and sort keys only,
         # never branch decisions
         D = self._D
-        return self._A / D + self._B / D * _PHI_FLOAT
+        return self._A / D + self._B / D * PHI_FLOAT
 
     def float_bounds(self) -> Tuple[float, float]:
         """Floats lo <= x <= hi around float(x), for certified filters.
@@ -325,10 +325,10 @@ class QPhi:
         """
         A, B, D = self._A, self._B, self._D
         try:
-            err = (abs(A) + 2 * abs(B)) / D * _FLOAT_ERR + _FLOAT_TINY
+            err = (abs(A) + 2 * abs(B)) / D * FLOAT_ERR + _FLOAT_TINY
         except OverflowError:
             return float("-inf"), float("inf")
-        f = A / D + B / D * _PHI_FLOAT
+        f = A / D + B / D * PHI_FLOAT
         return f - err, f + err
 
     # -- misc ---------------------------------------------------------

@@ -14,8 +14,10 @@ cuts, bound values that become extents) are built as elements.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .field import HALF, QPhi, ZERO, cmp, sgn_affine
@@ -347,14 +349,24 @@ def _strip_subtract(a: Strip, b: Strip) -> list[Strip]:
 # _strip_intersect/_strip_subtract.
 
 def region_intersect(a: Region, b: Region) -> Region:
+    """The intersection; pairs are visited a-strip by a-strip, each in
+    b's order, so the output is the same whatever the pairs skipped.
+
+    Each strip of a visits only a window of b: before it every box ends
+    left of the strip (a prefix maximum of box ends), from its end on
+    every box starts right of it (a suffix minimum of box starts).
+    """
     out: list[Strip] = []
-    bf = [sb.x_box for sb in b.strips]
+    boxes = [sb.x_box for sb in b.strips]
+    reach = list(accumulate((hi for _, hi in boxes), max))
+    floor = list(accumulate((lo for lo, _ in reversed(boxes)), min))[::-1]
     for sa in a.strips:
         alo, ahi = sa.x_box
-        for sb, (blo, bhi) in zip(b.strips, bf):
+        for j in range(bisect_left(reach, alo), bisect_right(floor, ahi)):
+            blo, bhi = boxes[j]
             if ahi < blo or bhi < alo:
                 continue
-            out.extend(_strip_intersect(sa, sb))
+            out.extend(_strip_intersect(sa, b.strips[j]))
     return Region.of(out)
 
 

@@ -1,13 +1,14 @@
 import random
 from fractions import Fraction
-from math import floor
+from math import floor, lcm
 
 import pytest
 
+from phiplane import birkhoff
 from phiplane.birkhoff import (DRIFT, STEP, SumRecord, birkhoff_sum,
                                birkhoff_sum_direct,
                                max_abs_sum, record_maxima, sums_csv)
-from phiplane.field import HALF, PHI, QPhi, ZERO, phi_power
+from phiplane.field import HALF, PHI, QPhi, ZERO, phi_power, sgn_pair
 
 PHI_F = (1 + 5 ** 0.5) / 2
 
@@ -118,3 +119,83 @@ def test_negative_inputs_rejected():
         birkhoff_sum(ZERO, -1)
     with pytest.raises(ValueError):
         record_maxima(ZERO, -2)
+
+
+# -- the certified filter against the all-integer loop -------------------
+
+def _records_exact(x0: QPhi, N: int) -> list[SumRecord]:
+    """record_maxima with every wrap and record test decided by sgn_pair."""
+    _, f = x0.floor_frac()
+    fa, fb, fd = f.scaled()
+    d = lcm(2, fd)
+    fa, fb = fa * (d // fd), fb * (d // fd)
+    half = d // 2
+    sa, sb = fa - half, fb
+    best_a, best_b = 0, 0
+    out = []
+    for n in range(N + 1):
+        if n > 0:
+            fa += 2 * d
+            fb -= d
+            if sgn_pair(fa - d, fb) >= 0:
+                fa -= d
+            sa += fa - half
+            sb += fb
+        aa, ab = (sa, sb) if sgn_pair(sa, sb) >= 0 else (-sa, -sb)
+        if sgn_pair(aa - best_a, ab - best_b) > 0:
+            best_a, best_b = aa, ab
+            out.append(SumRecord(n, QPhi.from_scaled(sa, sb, d), True))
+    return out
+
+
+def _calls(monkeypatch) -> list[tuple[int, int]]:
+    seen = []
+
+    def recording(a, b):
+        seen.append((a, b))
+        return sgn_pair(a, b)
+    monkeypatch.setattr(birkhoff, "sgn_pair", recording)
+    return seen
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 40, 377])
+def test_wrap_ties_reach_the_exact_test(monkeypatch, k):
+    # x0 = 1/phi - k/phi**2 mod 1: at term k + 1, f + 1/phi**2 = 1 exactly,
+    # a tie no double can decide; sgn_pair sees it as the pair (0, 0)
+    x0 = (phi_power(-1) - k * STEP).frac()
+    seen = _calls(monkeypatch)
+    assert record_maxima(x0, 2000) == _records_exact(x0, 2000)
+    assert (0, 0) in seen
+
+
+def test_no_tie_no_zero_pair(monkeypatch):
+    seen = _calls(monkeypatch)
+    assert record_maxima(ZERO, 2000) == _records_exact(ZERO, 2000)
+    assert (0, 0) not in seen
+    # every record went through the exact test, and little else did
+    assert len(seen) < 200
+
+
+@pytest.mark.parametrize("x0, exact_only", [
+    (QPhi(Fraction(-7, 3), Fraction(5, 11)), False),
+    (QPhi(Fraction(-2 ** 61 - 1, 3), Fraction(2 ** 60, 7)), True),
+    (QPhi(Fraction(1, 2 ** 50 + 3), Fraction(-1, 2 ** 47 + 1)), True),
+    (QPhi(Fraction(3 ** 700, 2 ** 1100), Fraction(-(5 ** 400), 3 ** 500)),
+     True),
+], ids=["negative", "large", "large denominators", "beyond floats"])
+def test_negative_and_large_starts(monkeypatch, x0, exact_only):
+    want = _records_exact(x0, 3000)
+    if exact_only:
+        # beyond 2**52 no float may enter: PHI_FLOAT = None fails any estimate
+        monkeypatch.setattr(birkhoff, "PHI_FLOAT", None)
+    assert record_maxima(x0, 3000) == want
+
+
+def test_filter_matches_exact_loop_up_to_2e4():
+    rng = random.Random(23)
+    starts = [ZERO, HALF, PHI] + [
+        QPhi(Fraction(rng.randint(-90, 90), rng.randint(1, 40)),
+             Fraction(rng.randint(-90, 90), rng.randint(1, 40)))
+        for _ in range(4)]
+    for x0 in starts:
+        assert record_maxima(x0, 20_000) == _records_exact(x0, 20_000)

@@ -13,8 +13,8 @@ from phiplane.exchange import (INV_PHI2, PAPER_STATED_Z, PSI, T_PHI,
                                check_projection_witness, exchange_tower,
                                projection_witness, psi_inverse,
                                rational_dependence, renormalization_checks,
-                               renormalize, sample_points, translation,
-                               witness_interval)
+                               renormalize, sample_points, strip_midpoint,
+                               translation, witness_interval)
 from phiplane import fastorbit
 from phiplane.fastorbit import CompiledExchange
 from phiplane.field import HALF, ONE, PHI, QPhi, ZERO, phi_power, sgn_pair
@@ -360,6 +360,141 @@ def test_compiled_stepper_matches_slow(name, data):
     slow = _outcome(_slow_code, E, p, 25)
     assert slow in (BoundaryError, OutsideDomainError) or len(slow) == 25
     assert _outcome(E.compiled.code_orbit, p, 25) == slow
+
+
+# -- L-step jump tables -------------------------------------------------
+
+def _punctured_translation() -> PieceExchange:
+    """The translation exchange with the line x = (1 - alpha)/2 cut out
+    of piece 1: its depth-L cells cover that line and the lines it pulls
+    back to, which only the hidden breakpoints keep out of macro steps."""
+    E = build_translation_exchange(phi_power(-2), phi_power(-3))
+    (s,) = E.pieces[0].region.strips
+    t = s.x_hi * HALF
+    holed = Region((replace(s, x_hi=t), replace(s, x_lo=t, lo_closed=False)))
+    return replace(E, pieces=(replace(E.pieces[0], region=holed),)
+                   + E.pieces[1:])
+
+
+_JUMP_CASES = dict(_ORBIT_CASES, **{"punctured translation":
+                                    _punctured_translation})
+
+
+@functools.cache
+def _jump_case(name: str):
+    """A stepper with its jump table built, and exact starts: inside the
+    depth-L cells, on their x-ends and bounds, on hidden breakpoints, and
+    on piece edges pulled back up to L steps."""
+    E = _JUMP_CASES[name]()
+    stepper = CompiledExchange(E)
+    stepper._jumps = fastorbit._jump_index(E, stepper._index)
+    power = E.power(fastorbit.JUMP_LENGTH)
+    cells = [s for p in power.pieces for s in p.region.strips]
+    pieces = [s for p in E.pieces for s in p.region.strips]
+    ends = {x for s in pieces for x in (s.x_lo, s.x_hi)}
+    own = {x for s in cells for x in (s.x_lo, s.x_hi)}
+    # the piece endpoints pulled back along each cell's word: lines where
+    # a cell may claim points that single steps code otherwise
+    pulled = set()
+    for piece in power.pieces:
+        shift = ZERO
+        for label in piece.label:
+            pulled.update(e - shift for e in ends)
+            shift = shift + E.branch(label).u
+    hidden = [x for x in sorted(pulled - own)
+              if any(s.x_lo < x < s.x_hi for s in cells)]
+    unit = st.fractions(0, 1, max_denominator=12)
+    inner = unit.filter(lambda t: 0 < t < 1)
+    edge = st.sampled_from([Fraction(0), Fraction(1)])
+
+    def at(s, x, u):
+        lo, hi = s.lower(x), s.upper(x)
+        return Point(x, lo + (hi - lo) * QPhi(u))
+
+    def across(s, t):
+        return s.x_lo + (s.x_hi - s.x_lo) * QPhi(t)
+
+    def on_x(strips, x, strict=False):
+        touching = [s for s in strips if (s.x_lo < x < s.x_hi) or
+                    (not strict and s.x_lo <= x <= s.x_hi)]
+        return st.builds(lambda s, u: at(s, x, u),
+                         st.sampled_from(touching), unit)
+
+    def pulled_back(q, labels):
+        for label in labels:
+            q = E.branch(label).inverse().apply(q)
+        return q
+
+    labels = st.lists(st.sampled_from([p.label for p in E.pieces]),
+                      max_size=fastorbit.JUMP_LENGTH)
+    piece_edges = st.one_of(
+        st.sampled_from(sorted(ends)).flatmap(lambda x: on_x(pieces, x)),
+        st.builds(lambda s, t, u: at(s, across(s, t), u),
+                  st.sampled_from(pieces), unit, edge))
+    cell = st.sampled_from(cells)
+    starts = [
+        st.builds(lambda s, t, u: at(s, across(s, t), u), cell, inner, inner),
+        st.sampled_from(sorted(own)).flatmap(lambda x: on_x(cells, x)),
+        st.builds(lambda s, t, u: at(s, across(s, t), u), cell, unit, edge),
+        st.builds(pulled_back, piece_edges, labels)]
+    if hidden:
+        starts.append(st.sampled_from(hidden).flatmap(
+            lambda x: on_x(cells, x, strict=True)))
+    # every hidden line, once in each cell strip it crosses
+    on_hidden = [at(s, x, Fraction(1, 2)) for x in hidden for s in cells
+                 if s.x_lo < x < s.x_hi]
+    return E, stepper, st.one_of(starts), on_hidden
+
+
+@pytest.mark.parametrize("name", list(_JUMP_CASES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_jump_table_matches_single_steps(name, data):
+    E, stepper, starts, _ = _jump_case(name)
+    p = data.draw(starts)
+    n = 3 * fastorbit.JUMP_LENGTH + data.draw(st.integers(0, 3))
+    slow = _outcome(_slow_code, E, p, n)
+    assert _outcome(stepper.code_orbit, p, n) == slow
+    assert stepper.orbit_in_domain(p, n) == isinstance(slow, tuple)
+
+
+@pytest.mark.parametrize("name", list(_JUMP_CASES))
+def test_jump_table_on_every_hidden_line(name):
+    E, stepper, _, on_hidden = _jump_case(name)
+    n = 3 * fastorbit.JUMP_LENGTH
+    for p in on_hidden:
+        assert _outcome(stepper.code_orbit, p, n) == \
+            _outcome(_slow_code, E, p, n), p
+
+
+def test_power_cells_carry_words_and_composed_branches(base):
+    P = base.power(3)
+    assert P.base == base.base @ base.base @ base.base
+    assert sum((p.region.area() for p in P.pieces), ZERO) == \
+        sum((p.region.area() for p in base.pieces), ZERO)
+    for piece in P.pieces:
+        w = piece.label
+        assert len(w) == 3
+        assert P.branch(w) == base.branch(w[2]) @ base.branch(w[1]) \
+            @ base.branch(w[0])
+        p = strip_midpoint(piece.region.strips[0])
+        assert P.step(p) == (w, P.branch(w).apply(p))
+        assert _slow_code(base, p, 3) == w
+    half_slope = PlaneMap(ONE, INV_PHI2, 1, QuadBound(ZERO, HALF, ZERO))
+    with pytest.raises(ExchangeError, match="not T\\^2 minus an integer"):
+        replace(base, base=half_slope).power(2)
+
+
+def test_jump_table_is_built_only_for_long_runs():
+    E = exchange_tower(2)[-1]
+    stepper = CompiledExchange(E)
+    budget = fastorbit.JUMP_AFTER * len(stepper._index.strips)
+    p = sample_points(E, 1, seed=2)[0]
+    stepper.code_orbit(p, budget // 2)
+    stepper.code_orbit(p, budget // 2)
+    assert stepper._jumps is None
+    assert stepper.code_orbit(p, 40) == _slow_code(E, p, 40)
+    assert stepper._jumps is not None
 
 
 @pytest.mark.parametrize("bad", [
