@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .field import (FLOAT_ERR, HALF, PHI_FLOAT, QPhi, ZERO, phi_power,
-                    sgn_pair)
+from .field import (FLOAT_ERR, HALF, PHI, PHI_FLOAT, QPhi, ZERO,
+                    phi_power, sgn_pair)
 
 STEP = phi_power(-2)                 # 1/phi**2 = 2 - phi
 DRIFT = phi_power(-3) * HALF         # 1/(2 phi**3)
@@ -26,18 +26,38 @@ class SumRecord:
     is_record: bool
 
 
+def _start(x0: QPhi) -> tuple[int, int, int]:
+    """The fractional part {x0} as (A, B, d) for (A + B*phi)/d, d even."""
+    _, f = x0.floor_frac()
+    fa, fb, fd = f.scaled()
+    d = lcm(2, fd)
+    return fa * (d // fd), fb * (d // fd), d
+
+
+def _sums(fa: int, fb: int, d: int, N: int):
+    """S_0, ..., S_N from {x0} = (fa + fb*phi)/d, each as the integer
+    pair of S_n * d; every wrap test is exact."""
+    half = d // 2
+    sa, sb = fa - half, fb
+    yield sa, sb
+    for _ in range(N):
+        fa += 2 * d                 # f + 1/phi**2, 1/phi**2 = 2 - phi
+        fb -= d
+        if sgn_pair(fa - d, fb) >= 0:
+            fa -= d
+        sa += fa - half
+        sb += fb
+        yield sa, sb
+
+
 def birkhoff_sum(x0: QPhi, n: int) -> QPhi:
     """S_n, incrementally, with the running fractional part reused."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    _, f = x0.floor_frac()
-    total = f - HALF
-    for _ in range(n):
-        f = f + STEP
-        if f >= 1:
-            f = f - 1
-        total = total + f - HALF
-    return total
+    fa, fb, d = _start(x0)
+    for sa, sb in _sums(fa, fb, d, n):
+        pass
+    return QPhi.from_scaled(sa, sb, d)
 
 
 def birkhoff_sum_direct(x0: QPhi, n: int) -> QPhi:
@@ -62,10 +82,7 @@ def record_maxima(x0: QPhi, N: int) -> list[SumRecord]:
     """
     if N < 0:
         raise ValueError("N must be >= 0")
-    _, f = x0.floor_frac()
-    fa, fb, fd = f.scaled()
-    d = lcm(2, fd)
-    fa, fb = fa * (d // fd), fb * (d // fd)
+    fa, fb, d = _start(x0)
     half = d // 2
     step_a, step_b = 2 * d, -d
     sa, sb = fa - half, fb          # running sum, scaled by d
@@ -113,17 +130,18 @@ def max_abs_sum(x0: QPhi, N: int) -> QPhi:
 
 
 def sums_csv(x0: QPhi, N: int) -> str:
-    """CSV rows (n, S_n to 12 decimal places, is_record)."""
+    """CSV rows (n, S_n to 12 decimal places, is_record).
+
+    Each S_n is printed as the double nearest to its value at phi's
+    `approx(64)` midpoint, as `float(S_n.approx(64))` would print it.
+    """
     records = {r.n for r in record_maxima(x0, N)}
+    fa, fb, d = _start(x0)
+    mid = PHI.approx(64)
+    num, den = mid.numerator, mid.denominator
+    scale = d * den
     lines = ["n,s_n,is_record"]
-    _, f = x0.floor_frac()
-    total = f - HALF
-    for n in range(N + 1):
-        if n > 0:
-            f = f + STEP
-            if f >= 1:
-                f = f - 1
-            total = total + f - HALF
-        val = total.approx(64)
-        lines.append(f"{n},{float(val):.12f},{int(n in records)}")
+    for n, (sa, sb) in enumerate(_sums(fa, fb, d, N)):
+        lines.append(f"{n},{(sa * den + sb * num) / scale:.12f},"
+                     f"{int(n in records)}")
     return "\n".join(lines)

@@ -430,8 +430,9 @@ def strip_midpoint(s: Strip) -> Point:
 
 
 def sample_points(exchange: PieceExchange, count: int,
-                  seed: int = 0, denominator: int = 64) -> list[Point]:
-    """Strip midpoints plus reproducible bounded-denominator points."""
+                  seed: int = 0) -> list[Point]:
+    """Strip midpoints plus reproducible points whose offsets in their
+    strip have denominator 64."""
     pts: list[Point] = []
     strips = [s for piece in exchange.pieces for s in piece.region.strips]
     for s in strips:
@@ -445,8 +446,8 @@ def sample_points(exchange: PieceExchange, count: int,
         if guard > 10000 * count:
             raise ExchangeError("sampling failed to hit the domain")
         s = strips[rng.randrange(len(strips))]
-        tx = Fraction(rng.randrange(1, denominator), denominator)
-        ty = Fraction(rng.randrange(1, denominator), denominator)
+        tx = Fraction(rng.randrange(1, 64), 64)
+        ty = Fraction(rng.randrange(1, 64), 64)
         x = s.x_lo + (s.x_hi - s.x_lo) * QPhi(tx)
         y = s.lower(x) + (s.upper(x) - s.lower(x)) * QPhi(ty)
         p = Point(x, y)

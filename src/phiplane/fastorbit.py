@@ -5,10 +5,11 @@ every membership test becomes a sign evaluation of an integer pair
 (A, B) standing for A + B*phi, decided by the field's exact
 `sgn_pair`, so no step ever depends on floating point.
 
-`CompiledExchange` finds the x-cell of a point by bisection over the
+`CompiledExchange` finds the x-gap of a point by bisection over the
 exchange's sorted strip endpoints and tests y only against the strips
-covering that cell, so a step costs about log2(#endpoints) + 2 sign
-tests at every level.  Long runs go JUMP_LENGTH symbols at a time: the
+covering that gap, so a step costs about log2(#endpoints) + 2 sign
+tests at every level; a point on an endpoint or a strip bound goes to
+`PieceExchange.locate`.  Long runs go JUMP_LENGTH symbols at a time: the
 same search over the depth-L coding cells of `PieceExchange.power`
 gives a cell's whole word and its branch, an integer-slope shear like
 every single branch.  Measured on a shared 2-vCPU host (Python 3.11.7,
@@ -52,12 +53,10 @@ class _Index:
     """An exact x-sorted breakpoint index and integer strip tables.
 
     The distinct strip endpoints x_0 < ... < x_{m-1}, with any `extra`
-    breakpoints, cut the line into cells: cell 2i is the open gap below
-    x_i (cell 2m lies above x_{m-1}) and cell 2i+1 is the point x_i.  A
-    strip covers a run of consecutive cells, its endpoints included as
-    `lo_closed` and `hi_closed` say.  Each cell lists the strips
-    covering it in piece order and then strip order, so earlier pieces
-    win overlaps as in `PieceExchange.locate`.
+    breakpoints, cut the line into m + 1 open gaps: gap i lies below x_i
+    and gap m above x_{m-1}.  Each gap lists the strips whose open
+    x-range covers it in piece order and then strip order, so earlier
+    pieces win overlaps as in `PieceExchange.locate`.
     """
 
     def __init__(self, exchange: PieceExchange, extra=()) -> None:
@@ -86,22 +85,23 @@ class _Index:
             d = lcm(d, _denoms(x))
         self.base_den = d
         where = {x: i for i, x in enumerate(xs)}
-        self._cells: list[list[int]] = [[] for _ in range(2 * len(xs) + 1)]
+        self._gaps: list[list[int]] = [[] for _ in range(len(xs) + 1)]
         for j, (_, s) in enumerate(self.strips):
-            first = 2 * where[s.x_lo] + (1 if s.lo_closed else 2)
-            last = 2 * where[s.x_hi] + (1 if s.hi_closed else 0)
-            for cell in self._cells[first:last + 1]:
-                cell.append(j)
+            for gap in self._gaps[where[s.x_lo] + 1:where[s.x_hi] + 1]:
+                gap.append(j)
         self._tables: dict[int, tuple] = {}
 
     def table(self, d: int) -> tuple:
-        """The tables at scale d, a multiple of `base_den`: cells of
-        strip rows, the endpoints' integer pairs, and d**2."""
+        """The tables at scale d, a multiple of `base_den`: gaps of strip
+        rows, the endpoints' integer pairs, d**2, and the move of each
+        label.  A move starts with the symbols it codes: the word of a
+        `PieceExchange.power` piece, or a single label as a 1-tuple."""
         cached = self._tables.get(d)
         if cached is not None:
             return cached
         d2, d3 = d * d, d * d * d
-        moves = {label: (label, *_pair(u, d), *_pair(q0, d), k)
+        moves = {label: (label if isinstance(label, tuple) else (label,),
+                         *_pair(u, d), *_pair(q0, d), k)
                  for label, (u, q0, k) in self.moves.items()}
         rows = []
         for piece, s in self.strips:
@@ -111,14 +111,12 @@ class _Index:
             c0 = _pair(s.lower.c0, d3)
             u1 = _pair(s.upper.c1, d2)
             u0 = _pair(s.upper.c0, d3)
-            rows.append((*c2, *c1, *c0, s.lower_closed,
-                         u1[0] - c1[0], u1[1] - c1[1],
-                         u0[0] - c0[0], u0[1] - c0[1], s.upper_closed,
-                         moves[piece.label]))
-        cells = tuple(tuple(rows[j] for j in cell) for cell in self._cells)
+            rows.append((*c2, *c1, *c0, u1[0] - c1[0], u1[1] - c1[1],
+                         u0[0] - c0[0], u0[1] - c0[1], moves[piece.label]))
+        gaps = tuple(tuple(rows[j] for j in gap) for gap in self._gaps)
         ends = [_pair(x, d) for x in self.xs]
-        table = (cells, tuple(a for a, _ in ends), tuple(b for _, b in ends),
-                 d2)
+        table = (gaps, tuple(a for a, _ in ends), tuple(b for _, b in ends),
+                 d2, moves)
         self._tables[d] = table
         return table
 
@@ -148,9 +146,10 @@ def _jump_index(exchange: PieceExchange, single: _Index) -> _Index:
     return _Index(power, hidden)
 
 
-def _macro(cells, ends_a, ends_b, d2, xa, xb, ya, yb):
-    """The row of the jump cell holding (x, y) strictly inside, or None
-    when any bisection or y sign test is zero or no cell holds it."""
+def _locate(gaps, ends_a, ends_b, d2, xa, xb, ya, yb):
+    """The move of the strip holding (x, y) strictly inside, or None when
+    any bisection or y sign test is zero or no strip holds it."""
+    # the gap of x: bisection over the endpoints
     lo, hi = 0, len(ends_a)
     while lo < hi:
         mid = (lo + hi) >> 1
@@ -166,8 +165,8 @@ def _macro(cells, ends_a, ends_b, d2, xa, xb, ya, yb):
     yd2a = ya * d2
     yd2b = yb * d2
     xab = xa + xb
-    for (c2a, c2b, c1a, c1b, c0a, c0b, _, e1a, e1b, e0a, e0b, _,
-         move) in cells[2 * lo]:
+    for c2a, c2b, c1a, c1b, c0a, c0b, e1a, e1b, e0a, e0b, move in gaps[lo]:
+        # (lower(x) - y) * d**3, then (upper(x) - y) * d**3
         va = c2a * x2a + c2b * x2b + c1a * xa + c1b * xb + c0a - yd2a
         vb = (c2a * x2b + c2b * (x2a + x2b) + c1a * xb + c1b * xab
               + c0b - yd2b)
@@ -191,10 +190,12 @@ class CompiledExchange:
     JUMP_AFTER steps per strip, macro steps of JUMP_LENGTH symbols over
     an index of `exchange.power(JUMP_LENGTH)`.
 
-    A macro step is taken only when every sign test of its bisection and
-    of its cell's y-bounds is nonzero and x is not a hidden breakpoint
-    (`_jump_index`); anywhere else the stepper takes JUMP_LENGTH single
-    steps, which code, and raise, exactly as `PieceExchange.step` does.
+    Both go through `_locate`, which decides only points strictly inside
+    a strip.  A single step it leaves open takes its label from
+    `PieceExchange.locate`, which decides the boundary and raises as
+    `PieceExchange.step` does; a macro step it leaves open, or one from
+    a hidden breakpoint (`_jump_index`), becomes JUMP_LENGTH single
+    steps.
     """
 
     def __init__(self, exchange: PieceExchange) -> None:
@@ -215,88 +216,40 @@ class CompiledExchange:
         d = lcm(self._index.base_den, _denoms(p.x), _denoms(p.y))
         if jumps is not None:
             d = lcm(d, jumps.base_den)
-            macro = jumps.table(d)
-        cells, ends_a, ends_b, d2 = self._table(d)
-        m = len(ends_a)
+            jgaps, jends_a, jends_b = jumps.table(d)[:3]
+        gaps, ends_a, ends_b, d2, moves = self._table(d)
         xa, xb = _pair(p.x, d)
         ya, yb = _pair(p.y, d)
         word: list[int] = []
-        append = word.append
         left = n
+        owed = 0        # single steps left after a macro step gave up
         while left:
-            count = left
-            if jumps is not None and left >= JUMP_LENGTH:
-                move = _macro(*macro, xa, xb, ya, yb)
-                if move is not None:
-                    label, ua, ub, qa, qb, k = move
-                    if record:
-                        word.extend(label)
-                    if k:
-                        ya += k * xa
-                        yb += k * xb
-                    xa += ua
-                    xb += ub
-                    ya += qa
-                    yb += qb
-                    left -= JUMP_LENGTH
-                    continue
-                count = JUMP_LENGTH
-            left -= count
-            for _ in range(count):
-                # the cell of x: bisection over the endpoints
-                lo, hi = 0, m
-                while lo < hi:
-                    mid = (lo + hi) >> 1
-                    s = sgn_pair(xa - ends_a[mid], xb - ends_b[mid])
-                    if s > 0:
-                        lo = mid + 1
-                    elif s < 0:
-                        hi = mid
-                    else:
-                        cell = 2 * mid + 1
-                        break
-                else:
-                    cell = 2 * lo
-                x2a = xa * xa + xb * xb
-                x2b = 2 * xa * xb + xb * xb
-                yd2a = ya * d2
-                yd2b = yb * d2
-                xab = xa + xb
-                for (c2a, c2b, c1a, c1b, c0a, c0b, lc, e1a, e1b, e0a, e0b,
-                     uc, move) in cells[cell]:
-                    # (lower(x) - y) * d**3, then (upper(x) - y) * d**3
-                    va = (c2a * x2a + c2b * x2b + c1a * xa + c1b * xb + c0a
-                          - yd2a)
-                    vb = (c2a * x2b + c2b * (x2a + x2b) + c1a * xb
-                          + c1b * xab + c0b - yd2b)
-                    s = sgn_pair(va, vb)
-                    if s > 0 or (s == 0 and not lc):
-                        continue
-                    s = sgn_pair(va + e1a * xa + e1b * xb + e0a,
-                                 vb + e1a * xb + e1b * xab + e0b)
-                    if s < 0 or (s == 0 and not uc):
-                        continue
-                    break
-                else:
-                    self._fail(xa, xb, ya, yb, d)
-                # the piece's branch (x, y) -> (x + u, y + k*x + q0)
-                label, ua, ub, qa, qb, k = move
-                if record:
-                    append(label)
-                if k:
-                    ya += k * xa
-                    yb += k * xb
-                xa += ua
-                xb += ub
-                ya += qa
-                yb += qb
+            move = None
+            if jumps is not None and not owed and left >= JUMP_LENGTH:
+                move = _locate(jgaps, jends_a, jends_b, d2, xa, xb, ya, yb)
+                if move is None:
+                    owed = JUMP_LENGTH
+            if move is None:
+                move = _locate(gaps, ends_a, ends_b, d2, xa, xb, ya, yb)
+                if move is None:
+                    move = moves[self.exchange.locate(Point(
+                        QPhi.from_scaled(xa, xb, d),
+                        QPhi.from_scaled(ya, yb, d)))]
+                if owed:
+                    owed -= 1
+            # the branch (x, y) -> (x + u, y + k*x + q0)
+            label, ua, ub, qa, qb, k = move
+            if record:
+                word.extend(label)
+            if k:
+                ya += k * xa
+                yb += k * xb
+            xa += ua
+            xb += ub
+            ya += qa
+            yb += qb
+            left -= len(label)
         return tuple(word)
-
-    def _fail(self, xa, xb, ya, yb, d):
-        # reconstruct the exact point for a classified error
-        q = Point(QPhi.from_scaled(xa, xb, d), QPhi.from_scaled(ya, yb, d))
-        self.exchange.locate(q)  # raises Boundary/OutsideDomain
-        raise ExchangeError(f"inconsistent location for {q}")  # pragma: no cover
 
     def code_orbit(self, p: Point, n: int) -> Word:
         return self._run(p, n, record=True)

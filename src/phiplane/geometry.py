@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -257,7 +257,7 @@ def strips_from_constraints(x_lo: QPhi, x_hi: QPhi,
         # float sort is a heuristic ordering; enforce exactness
         for a, b in zip(points, points[1:]):
             if cmp(b, a) <= 0:
-                points = _exact_sort(points)
+                points = sorted(points, key=cmp_to_key(cmp))
                 break
     out: list[Strip] = []
     for a, b in zip(points, points[1:]):
@@ -285,17 +285,6 @@ def _active(sign: dict[tuple[int, int], int], closed: list[bool],
         elif s == 0:
             c = c and closed[i]
     return best, c
-
-
-def _exact_sort(points: list[QPhi]) -> list[QPhi]:
-    out: list[QPhi] = []
-    for p in points:
-        i = 0
-        while i < len(out) and cmp(p, out[i]) > 0:
-            i += 1
-        if i == len(out) or cmp(p, out[i]) != 0:
-            out.insert(i, p)
-    return out
 
 
 # -- interval helpers ---------------------------------------------------

@@ -129,10 +129,11 @@ def parse_exchange(text: str) -> PieceExchange:
 
 _COLORS = ("#4878a8", "#c8583a", "#58a868", "#9868a8",
            "#b8a038", "#38a8a0", "#a84878", "#787878")
+_SVG_WIDTH = 640        # pixels
+_SVG_SAMPLES = 64       # segments along each strip bound
 
 
-def exchange_svg(exchange: PieceExchange, width: int = 640,
-                 samples: int = 64) -> str:
+def exchange_svg(exchange: PieceExchange) -> str:
     """SVG 1.1 picture of the pieces, one filled polygon per strip."""
     strips = [(p.label, s) for p in exchange.pieces for s in p.region.strips]
     xs: list[float] = []
@@ -142,8 +143,8 @@ def exchange_svg(exchange: PieceExchange, width: int = 640,
         x_lo, x_hi = float(s.x_lo), float(s.x_hi)
         pts_top = []
         pts_bot = []
-        for i in range(samples + 1):
-            t = i / samples
+        for i in range(_SVG_SAMPLES + 1):
+            t = i / _SVG_SAMPLES
             x = x_lo + (x_hi - x_lo) * t
             c2, c1, c0 = (float(s.upper.c2), float(s.upper.c1), float(s.upper.c0))
             pts_top.append((x, c2 * x * x + c1 * x + c0))
@@ -159,7 +160,7 @@ def exchange_svg(exchange: PieceExchange, width: int = 640,
     pad = 0.05 * max(max(xs) - min(xs), max(ys) - min(ys), 1e-9)
     x0, x1 = min(xs) - pad, max(xs) + pad
     y0, y1 = min(ys) - pad, max(ys) + pad
-    scale = width / (x1 - x0)
+    scale = _SVG_WIDTH / (x1 - x0)
     height = int(round((y1 - y0) * scale)) or 1
 
     def sx(x: float) -> float:
@@ -169,8 +170,8 @@ def exchange_svg(exchange: PieceExchange, width: int = 640,
         return (y1 - y) * scale  # flip: SVG y grows downward
 
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-           f'width="{width}" height="{height}" '
-           f'viewBox="0 0 {width} {height}">']
+           f'width="{_SVG_WIDTH}" height="{height}" '
+           f'viewBox="0 0 {_SVG_WIDTH} {height}">']
     for label, poly in polys:
         color = _COLORS[(label - 1) % len(_COLORS)]
         path = " ".join(f"{sx(x):.3f},{sy(y):.3f}" for x, y in poly)

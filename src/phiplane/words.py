@@ -48,11 +48,11 @@ class Substitution:
         except KeyError as e:
             raise WordError(f"symbol {e.args[0]} outside substitution alphabet")
 
-    def fixed_point_prefix(self, length: int, seed: int = 1) -> Word:
-        """Prefix of the fixed point starting from `seed`."""
+    def fixed_point_prefix(self, length: int) -> Word:
+        """Prefix of the fixed point starting from the symbol 1."""
         if length < 1:
             raise WordError("length must be >= 1")
-        w: Word = (seed,)
+        w: Word = (1,)
         while len(w) < length:
             w = self(w)
         return w[:length]
@@ -135,20 +135,21 @@ def iterate_step(lang: Language, sub: Substitution, max_len: int) -> Language:
     return Language.from_words(images, lang.m, max_len)
 
 
-def iterate_language(lang: Language, n_steps: int, max_len: int,
-                     sub: Substitution = FIBONACCI) -> Language:
+def iterate_language(lang: Language, n_steps: int, max_len: int) -> Language:
+    """L_N of the Fibonacci iteration from `lang`, truncated at max_len."""
     cur = Language.from_words(lang.words, lang.m, max_len)
     for _ in range(n_steps):
-        cur = iterate_step(cur, sub, max_len)
+        cur = iterate_step(cur, FIBONACCI, max_len)
     return cur
 
 
-def iterate_chain(lang: Language, n_steps: int, max_len: int,
-                  sub: Substitution = FIBONACCI) -> list[Language]:
-    """The whole iteration chain [L_0, ..., L_N], truncated at max_len."""
+def iterate_chain(lang: Language, n_steps: int,
+                  max_len: int) -> list[Language]:
+    """The whole Fibonacci iteration chain [L_0, ..., L_N], truncated at
+    max_len."""
     chain = [Language.from_words(lang.words, lang.m, max_len)]
     for _ in range(n_steps):
-        chain.append(iterate_step(chain[-1], sub, max_len))
+        chain.append(iterate_step(chain[-1], FIBONACCI, max_len))
     return chain
 
 

@@ -114,6 +114,39 @@ def test_sums_csv_format_and_determinism():
     assert out == sums_csv(ZERO, 50)
 
 
+def _sums_csv_qphi(x0: QPhi, N: int) -> str:
+    """sums_csv with every S_n a QPhi, printed through approx(64)."""
+    records = {r.n for r in record_maxima(x0, N)}
+    lines = ["n,s_n,is_record"]
+    _, f = x0.floor_frac()
+    total = f - HALF
+    for n in range(N + 1):
+        if n > 0:
+            f = f + STEP
+            if f >= 1:
+                f = f - 1
+            total = total + f - HALF
+        val = total.approx(64)
+        lines.append(f"{n},{float(val):.12f},{int(n in records)}")
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("x0", [
+    ZERO,
+    QPhi(Fraction(-7, 3), Fraction(5, 11)),
+    (phi_power(-1) - 40 * STEP).frac(),
+    QPhi(Fraction(-2 ** 61 - 1, 3), Fraction(2 ** 60, 7)),
+], ids=["zero", "negative", "wrap tie", "large"])
+def test_sums_csv_matches_qphi_loop(x0):
+    for N in (0, 1, 5000):
+        got = sums_csv(x0, N).split("\n")
+        want = _sums_csv_qphi(x0, N).split("\n")
+        # the first differing row, not a diff of 5000 rows
+        assert len(got) == len(want) == N + 2
+        assert next(((g, w) for g, w in zip(got, want) if g != w), None) \
+            is None
+
+
 def test_negative_inputs_rejected():
     with pytest.raises(ValueError):
         birkhoff_sum(ZERO, -1)

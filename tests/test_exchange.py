@@ -362,6 +362,26 @@ def test_compiled_stepper_matches_slow(name, data):
     assert _outcome(E.compiled.code_orbit, p, 25) == slow
 
 
+@pytest.mark.parametrize("name", ["level 1", "closed translation"])
+def test_compiled_stepper_on_strip_ends_and_edges(name):
+    # single steps only: at the ends and on the bounds of every strip,
+    # interior endpoints of level 1 and the shared edges of the closed
+    # translation included, a sign test is zero and the step's label
+    # comes from PieceExchange.locate
+    E = _ORBIT_CASES[name]()
+    stepper = CompiledExchange(E)
+    for s in (s for p in E.pieces for s in p.region.strips):
+        for x in (s.x_lo, (s.x_lo + s.x_hi) * HALF, s.x_hi):
+            lo, hi = s.lower(x), s.upper(x)
+            for y in (lo, (lo + hi) * HALF, hi):
+                p = Point(x, y)
+                slow = _outcome(_slow_code, E, p, 25)
+                assert _outcome(stepper.code_orbit, p, 25) == slow, p
+                assert stepper.orbit_in_domain(p, 25) == \
+                    isinstance(slow, tuple)
+    assert stepper._jumps is None
+
+
 # -- L-step jump tables -------------------------------------------------
 
 def _punctured_translation() -> PieceExchange:

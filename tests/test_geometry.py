@@ -375,6 +375,20 @@ def test_pair_table_keeps_level_mismatch_error():
                                 [(QuadBound(Q(1), ZERO, Q(1)), True)])
 
 
+def test_strips_from_constraints_orders_roots_closer_than_a_double():
+    # the roots 1 and b = 1 - 2**-60 round to the same double, and the
+    # stable float sort keeps 1 (found first) before b: only the exact
+    # sort puts the cuts in order
+    b = Q(Fraction(2 ** 60 - 1, 2 ** 60))
+    assert float(b) == 1.0 and b < 1
+    lowers = [(const(0), False), (QuadBound(ZERO, Q(1), Q(-1)), True)]
+    uppers = [(const(5), True), (QuadBound(ZERO, Q(1), -b), False)]
+    got = strips_from_constraints(Q(0), Q(2), lowers, uppers)
+    assert [(s.x_lo, s.x_hi) for s in got] == [(b, Q(1)), (Q(1), Q(2))]
+    want = _midpoint_strips(Q(0), Q(2), lowers, uppers)
+    assert [_strip_tuple(s) for s in got] == [_strip_tuple(s) for s in want]
+
+
 def _reference_y_abs_bound(s: Strip) -> QPhi:
     best = ZERO
     for bound in (s.lower, s.upper):
