@@ -16,7 +16,7 @@ every single branch.  Measured on a shared 2-vCPU host (Python 3.11.7,
 in-process medians of 2 x 20k-step codings), single steps run at about
 2.5e5 steps/s at level 1, 2.2e5 at level 4, 1.8e5 at level 8 and 1.5e5
 at level 12, and macro steps at 8e5, 1.25e6, 1.4e6 and 1e6 symbols/s;
-the jump table takes 0.055, 0.033, 0.27 and 4.5 s to build, hence
+the jump table takes 0.046, 0.041, 0.21 and 1.4 s to build, hence
 JUMP_AFTER, which leaves it out of runs too short to pay for it.
 """
 
@@ -26,7 +26,7 @@ from math import lcm
 
 from .exchange import (ExchangeError, PieceExchange, Point,
                        build_base_exchange)
-from .field import QPhi, ZERO, cmp, sgn_pair
+from .field import QPhi, sgn_pair
 from .words import Word
 
 # L-step jump tables: macro steps of JUMP_LENGTH symbols (8 beat 6 and
@@ -52,14 +52,14 @@ def _pair(x: QPhi, scale: int) -> tuple[int, int]:
 class _Index:
     """An exact x-sorted breakpoint index and integer strip tables.
 
-    The distinct strip endpoints x_0 < ... < x_{m-1}, with any `extra`
-    breakpoints, cut the line into m + 1 open gaps: gap i lies below x_i
-    and gap m above x_{m-1}.  Each gap lists the strips whose open
-    x-range covers it in piece order and then strip order, so earlier
-    pieces win overlaps as in `PieceExchange.locate`.
+    The distinct strip endpoints x_0 < ... < x_{m-1} cut the line into
+    m + 1 open gaps: gap i lies below x_i and gap m above x_{m-1}.  Each
+    gap lists the strips whose open x-range covers it in piece order and
+    then strip order, so earlier pieces win overlaps as in
+    `PieceExchange.locate`.
     """
 
-    def __init__(self, exchange: PieceExchange, extra=()) -> None:
+    def __init__(self, exchange: PieceExchange) -> None:
         d = 1
         self.strips = []
         self.moves = {}
@@ -79,8 +79,8 @@ class _Index:
                           s.upper.c1, s.upper.c0):
                     d = lcm(d, _denoms(v))
                 self.strips.append((piece, s))
-        xs = {x for _, s in self.strips for x in (s.x_lo, s.x_hi)}
-        self.xs = xs = sorted(xs.union(extra))
+        self.xs = xs = sorted({x for _, s in self.strips
+                               for x in (s.x_lo, s.x_hi)})
         for x in xs:
             d = lcm(d, _denoms(x))
         self.base_den = d
@@ -119,31 +119,6 @@ class _Index:
                  d2, moves)
         self._tables[d] = table
         return table
-
-
-def _jump_index(exchange: PieceExchange, single: _Index) -> _Index:
-    """The index of `exchange.power(JUMP_LENGTH)`, with its hidden
-    breakpoints.
-
-    A cell's region is exact only up to zero area: where an orbit meets
-    a piece endpoint e at step j < L, the cell may cover the line x =
-    e - (u_{w_1} + ... + u_{w_j}) although L single steps would code it
-    differently or fail there.  Every such x strictly inside one of the
-    cell's strips becomes a breakpoint, so a point on it never takes a
-    macro step.
-    """
-    power = exchange.power(JUMP_LENGTH)
-    hidden = set()
-    for piece in power.pieces:
-        spans = [(s.x_lo, s.x_hi) for s in piece.region.strips]
-        shift = ZERO
-        for label in piece.label:
-            for e in single.xs:
-                x = e - shift
-                if any(cmp(lo, x) < 0 < cmp(hi, x) for lo, hi in spans):
-                    hidden.add(x)
-            shift = shift + single.moves[label][0]
-    return _Index(power, hidden)
 
 
 def _locate(gaps, ends_a, ends_b, d2, xa, xb, ya, yb):
@@ -193,9 +168,10 @@ class CompiledExchange:
     Both go through `_locate`, which decides only points strictly inside
     a strip.  A single step it leaves open takes its label from
     `PieceExchange.locate`, which decides the boundary and raises as
-    `PieceExchange.step` does; a macro step it leaves open, or one from
-    a hidden breakpoint (`_jump_index`), becomes JUMP_LENGTH single
-    steps.
+    `PieceExchange.step` does; a macro step it leaves open becomes
+    JUMP_LENGTH single steps.  A point strictly inside a cell strip has
+    the cell's word wherever no two pieces share a vertical segment (none
+    do in the exchanges the package builds).
     """
 
     def __init__(self, exchange: PieceExchange) -> None:
@@ -212,7 +188,7 @@ class CompiledExchange:
         jumps = self._jumps
         if jumps is None and \
                 self._asked > JUMP_AFTER * len(self._index.strips):
-            jumps = self._jumps = _jump_index(self.exchange, self._index)
+            jumps = self._jumps = _Index(self.exchange.power(JUMP_LENGTH))
         d = lcm(self._index.base_den, _denoms(p.x), _denoms(p.y))
         if jumps is not None:
             d = lcm(d, jumps.base_den)

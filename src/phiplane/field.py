@@ -100,9 +100,9 @@ def _reduced(A: int, B: int, D: int) -> "QPhi":
     return x
 
 
-# double-precision phi, and the relative error bound of __float__ with
-# slack: 8 * 2**-53 covers the five roundings of A/D + (B/D)*phi and the
-# two of the widening itself
+# double-precision phi, and the error bound of the estimate
+# A/D + (B/D)*phi relative to (|A| + 2|B|)/D, with slack: 8 * 2**-53
+# covers its five roundings and the two of the widening itself
 PHI_FLOAT = 1.618033988749894848
 FLOAT_ERR = 2.0 ** -50
 _FLOAT_TINY = 1e-300      # absolute slack for subnormal results
@@ -311,10 +311,18 @@ class QPhi:
         return (self._A + self._B * mid) / self._D
 
     def __float__(self) -> float:
-        # fast double-precision embedding: rendering and sort keys only,
-        # never branch decisions
-        D = self._D
-        return self._A / D + self._B / D * PHI_FLOAT
+        """x as a double, for rendering and sort keys only: the estimate
+        A/D + (B/D)*phi where its terms cancel by less than 2**10 (so it
+        is within 2**-40 |x|), else ((2A + B) 2**k + B*isqrt(5 * 4**k))
+        / (2D 2**k) within 1 ulp, as |A + B*phi| >= 1/(|A| + |B|) (the
+        norm A**2 + AB - B**2 is a nonzero integer)."""
+        A, B, D = self._A, self._B, self._D
+        a, b = A / D, B / D * PHI_FLOAT
+        f = a + b
+        if abs(a) + abs(b) <= abs(f) * 1024.0:
+            return f
+        k = 64 + 2 * max(A.bit_length(), B.bit_length())
+        return (((2 * A + B) << k) + B * isqrt(5 << 2 * k)) / (D << k + 1)
 
     def float_bounds(self) -> Tuple[float, float]:
         """Floats lo <= x <= hi around float(x), for certified filters.

@@ -10,12 +10,17 @@ without building the difference, and the active bounds between two
 cuts are read from a table of pairwise signs rather than found by
 evaluating the bounds.  Only values that are stored (roots that become
 cuts, bound values that become extents) are built as elements.
+
+Intersection and subtraction keep every closedness flag, so they match
+point membership except on a vertical segment that only a zero-width
+strip could hold, on strip endpoints: where strips of a and b meet only
+along x-ends closed in both, or share one closed in a and open in b.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, cmp_to_key
 from itertools import accumulate
 from typing import Iterable, Sequence
@@ -204,9 +209,7 @@ def merge_strips(strips: Iterable[Strip]) -> tuple[Strip, ...]:
                     and p.upper_closed == s.upper_closed
                     and p.x_hi == s.x_lo
                     and (p.hi_closed or s.lo_closed)):
-                out[-1] = Strip(p.x_lo, s.x_hi, p.lower, p.upper,
-                                p.lo_closed, s.hi_closed,
-                                p.lower_closed, p.upper_closed)
+                out[-1] = replace(p, x_hi=s.x_hi, hi_closed=s.hi_closed)
                 continue
         out.append(s)
     return tuple(out)
@@ -219,8 +222,10 @@ Constraint = tuple[QuadBound, bool]  # bound and whether equality is allowed
 
 def strips_from_constraints(x_lo: QPhi, x_hi: QPhi,
                             lowers: Sequence[Constraint],
-                            uppers: Sequence[Constraint]) -> list[Strip]:
-    """Strips of {x in [x_lo,x_hi), all lowers <(=) y <(=) all uppers}.
+                            uppers: Sequence[Constraint],
+                            lo_closed=True, hi_closed=False) -> list[Strip]:
+    """Strips of {x_lo <(=) x <(=) x_hi, all lowers <(=) y <(=) all uppers},
+    closed at x_lo and x_hi as lo_closed and hi_closed say.
 
     Splits the interval at the roots of every pairwise affine bound
     difference that lie strictly inside it.  A pair table holds the sign
@@ -260,15 +265,16 @@ def strips_from_constraints(x_lo: QPhi, x_hi: QPhi,
                 points = sorted(points, key=cmp_to_key(cmp))
                 break
     out: list[Strip] = []
-    for a, b in zip(points, points[1:]):
+    last = len(points) - 2
+    for i, (a, b) in enumerate(zip(points, points[1:])):
         for pair in flips.get(a, ()):
             sign[pair] = -sign[pair]
         lo, lo_c = _active(sign, closed, 0, n_lo, -1)
         up, up_c = _active(sign, closed, n_lo, n, 1)
         if sign[lo, up] >= 0:
             continue
-        out.append(Strip(a, b, bounds[lo], bounds[up],
-                         lower_closed=lo_c, upper_closed=up_c))
+        out.append(Strip(a, b, bounds[lo], bounds[up], i > 0 or lo_closed,
+                         i == last and hi_closed, lo_c, up_c))
     return out
 
 
@@ -289,46 +295,56 @@ def _active(sign: dict[tuple[int, int], int], closed: list[bool],
 
 # -- interval helpers ---------------------------------------------------
 
-def _x_overlap(a: Strip, b: Strip) -> tuple[QPhi, QPhi] | None:
-    lo = a.x_lo if cmp(a.x_lo, b.x_lo) >= 0 else b.x_lo
-    hi = a.x_hi if cmp(a.x_hi, b.x_hi) <= 0 else b.x_hi
+def _x_overlap(a: Strip, b: Strip) -> tuple[QPhi, QPhi, bool, bool] | None:
+    """The x-interval of a and b with its closedness: an end from one
+    strip keeps that strip's flag, a shared end is the AND of both."""
+    s = cmp(a.x_lo, b.x_lo)
+    lo = a.x_lo if s >= 0 else b.x_lo
+    lo_c = (a.lo_closed or s < 0) and (b.lo_closed or s > 0)
+    s = cmp(a.x_hi, b.x_hi)
+    hi = a.x_hi if s <= 0 else b.x_hi
+    hi_c = (a.hi_closed or s > 0) and (b.hi_closed or s < 0)
     if cmp(hi, lo) <= 0:
         return None
-    return lo, hi
+    return lo, hi, lo_c, hi_c
 
 
 def _strip_intersect(a: Strip, b: Strip) -> list[Strip]:
     ov = _x_overlap(a, b)
     if ov is None:
         return []
-    lo, hi = ov
+    lo, hi, lo_c, hi_c = ov
     return strips_from_constraints(
         lo, hi,
         [(a.lower, a.lower_closed), (b.lower, b.lower_closed)],
-        [(a.upper, a.upper_closed), (b.upper, b.upper_closed)])
+        [(a.upper, a.upper_closed), (b.upper, b.upper_closed)], lo_c, hi_c)
 
 
 def _strip_subtract(a: Strip, b: Strip) -> list[Strip]:
     ov = _x_overlap(a, b)
     if ov is None:
         return [a]
-    lo, hi = ov
+    lo, hi, lo_c, hi_c = ov
     out: list[Strip] = []
+    # left and right of b, closed where b is not; below and above b's band,
+    # ending as the overlap does inside a and as a does at a's own ends
     if cmp(lo, a.x_lo) > 0:
-        out.append(Strip(a.x_lo, lo, a.lower, a.upper,
-                         a.lo_closed, False, a.lower_closed, a.upper_closed))
+        out.append(replace(a, x_hi=lo, hi_closed=not lo_c))
+    else:
+        lo_c = a.lo_closed
     if cmp(a.x_hi, hi) > 0:
-        out.append(Strip(hi, a.x_hi, a.lower, a.upper,
-                         True, a.hi_closed, a.lower_closed, a.upper_closed))
-    # inside the overlap: below b's band, then above it
+        out.append(replace(a, x_lo=hi, lo_closed=not hi_c))
+    else:
+        hi_c = a.hi_closed
     out.extend(strips_from_constraints(
         lo, hi,
         [(a.lower, a.lower_closed)],
-        [(a.upper, a.upper_closed), (b.lower, not b.lower_closed)]))
+        [(a.upper, a.upper_closed), (b.lower, not b.lower_closed)],
+        lo_c, hi_c))
     out.extend(strips_from_constraints(
         lo, hi,
         [(a.lower, a.lower_closed), (b.upper, not b.upper_closed)],
-        [(a.upper, a.upper_closed)]))
+        [(a.upper, a.upper_closed)], lo_c, hi_c))
     return out
 
 

@@ -137,10 +137,7 @@ def iterate_step(lang: Language, sub: Substitution, max_len: int) -> Language:
 
 def iterate_language(lang: Language, n_steps: int, max_len: int) -> Language:
     """L_N of the Fibonacci iteration from `lang`, truncated at max_len."""
-    cur = Language.from_words(lang.words, lang.m, max_len)
-    for _ in range(n_steps):
-        cur = iterate_step(cur, FIBONACCI, max_len)
-    return cur
+    return iterate_chain(lang, n_steps, max_len)[-1]
 
 
 def iterate_chain(lang: Language, n_steps: int,

@@ -386,8 +386,9 @@ def test_compiled_stepper_on_strip_ends_and_edges(name):
 
 def _punctured_translation() -> PieceExchange:
     """The translation exchange with the line x = (1 - alpha)/2 cut out
-    of piece 1: its depth-L cells cover that line and the lines it pulls
-    back to, which only the hidden breakpoints keep out of macro steps."""
+    of piece 1: the line and the lines it pulls back to cross the
+    depth-L cells, which keep them out of macro steps only if region
+    operations keep the cut's open x-ends."""
     E = build_translation_exchange(phi_power(-2), phi_power(-3))
     (s,) = E.pieces[0].region.strips
     t = s.x_hi * HALF
@@ -403,11 +404,12 @@ _JUMP_CASES = dict(_ORBIT_CASES, **{"punctured translation":
 @functools.cache
 def _jump_case(name: str):
     """A stepper with its jump table built, and exact starts: inside the
-    depth-L cells, on their x-ends and bounds, on hidden breakpoints, and
-    on piece edges pulled back up to L steps."""
+    depth-L cells, on their x-ends and bounds, on hidden lines (piece
+    endpoints pulled back inside a cell strip), and on piece edges
+    pulled back up to L steps."""
     E = _JUMP_CASES[name]()
     stepper = CompiledExchange(E)
-    stepper._jumps = fastorbit._jump_index(E, stepper._index)
+    stepper._jumps = fastorbit._Index(E.power(fastorbit.JUMP_LENGTH))
     power = E.power(fastorbit.JUMP_LENGTH)
     cells = [s for p in power.pieces for s in p.region.strips]
     pieces = [s for p in E.pieces for s in p.region.strips]
@@ -460,9 +462,10 @@ def _jump_case(name: str):
     if hidden:
         starts.append(st.sampled_from(hidden).flatmap(
             lambda x: on_x(cells, x, strict=True)))
-    # every hidden line, once in each cell strip it crosses
-    on_hidden = [at(s, x, Fraction(1, 2)) for x in hidden for s in cells
-                 if s.x_lo < x < s.x_hi]
+    # every pulled-back line, once in each cell strip it meets: across
+    # its inside (a hidden line) or on one of its x-ends
+    on_hidden = [at(s, x, Fraction(1, 2)) for x in sorted(pulled)
+                 for s in cells if s.x_lo <= x <= s.x_hi]
     return E, stepper, st.one_of(starts), on_hidden
 
 

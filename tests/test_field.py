@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import floor, gcd
+from math import floor, gcd, ulp
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -279,3 +279,17 @@ def test_float_bounds_bracket_value():
             lo, hi = x.float_bounds()
             v = x.approx(600)
             assert lo <= v <= hi
+
+
+def test_float_keeps_its_digits_on_large_coefficients():
+    # phi**-k = F_{-k} phi + F_{-k-1}: A and B*phi cancel, and the plain
+    # estimate A/D + (B/D)*phi read 0.0 for phi**-60; phi**k does not
+    # cancel and keeps the estimate
+    for k in range(60, 201):
+        want = float(phi_power(k).approx(1200))
+        assert abs(float(phi_power(k)) - want) <= 2.0 ** -40 * want
+        for x in (phi_power(-k), -phi_power(-k) / 97, ONE - phi_power(-k),
+                  phi_power(-k) + phi_power(-k - 3)):
+            want = float(x.approx(1200))
+            assert abs(float(x) - want) <= ulp(want), (k, x)
+    assert float(phi_power(-60)) == pytest.approx(2.8889603743e-13)

@@ -88,6 +88,33 @@ def test_region_subtract_exact():
     assert diff.contains(HALF, HALF)
 
 
+def test_subtract_keeps_a_closed_end_of_b():
+    # b = [1, 2] x (0, 1] closed at x = 2: the remainder right of b starts
+    # open there
+    a = Region.of([rect(0, 3, 0, 1)])
+    b = Region.of([rect(1, 2, 0, 1, hi_closed=True)])
+    assert not region_subtract(a, b).contains(Q(2), HALF)
+    assert region_subtract(a, b).contains(Q(1) - HALF, HALF)
+
+
+def test_intersect_keeps_an_open_end_of_b():
+    a = Region.of([rect(0, 3, 0, 1)])
+    b = Region.of([rect(1, 2, 0, 1, lo_closed=False)])
+    assert not region_intersect(a, b).contains(Q(1), HALF)
+    assert region_intersect(a, b).contains(Q(1) + HALF, HALF)
+
+
+def test_subtract_bands_end_where_b_ends():
+    # the band above b's first strip must stop open at x = 1, where the
+    # remainder takes over, or b's second strip cannot remove (1, 3/2)
+    a = Region.of([rect(0, 3, 0, 3)])
+    b = Region.of([rect(0, 1, 0, 1), rect(1, 2, 1, 2)])
+    diff = region_subtract(a, b)
+    assert not diff.contains(Q(1), Q(Fraction(3, 2)))
+    assert diff.contains(Q(1), HALF)
+    assert diff.contains(ZERO, Q(2))
+
+
 def test_subset_and_disjoint():
     outer = Region.of([rect(0, 2, 0, 2)])
     inner = Region.of([rect(0, 1, 0, 1)])
@@ -189,14 +216,20 @@ def test_prefilter_skips_pairs_on_tower_levels(monkeypatch):
 
 # -- region operations against point membership -------------------------
 
-def _on_edge(regions, x, y) -> bool:
-    """Whether (x, y) lies on an x-end or a bound of any strip's closure:
-    membership there depends on closedness flags, which region
-    operations keep only up to sets of zero area."""
-    return any(s.closure_contains(x, y)
-               and 0 in ((x - s.x_lo).sign(), (s.x_hi - x).sign(),
-                         (y - s.lower(x)).sign(), (s.upper(x) - y).sign())
-               for r in regions for s in r.strips)
+def _on_edge(a: Region, b: Region, x, y) -> bool:
+    """Whether (x, y) lies where region operations may differ from point
+    membership: on a bound of a strip's closure (at a cut where tied
+    bounds swap), or at a zero-width overlap, on an x-end of a strip of a
+    and of one of b whose closures both hold it."""
+    def holding(r):
+        return [s for s in r.strips if s.closure_contains(x, y)]
+
+    def at_end(strips):
+        return any(0 in ((x - s.x_lo).sign(), (s.x_hi - x).sign())
+                   for s in strips)
+    return any(0 in ((y - s.lower(x)).sign(), (s.upper(x) - y).sign())
+               for s in holding(a) + holding(b)) \
+        or (at_end(holding(a)) and at_end(holding(b)))
 
 
 def _check_ops(a: Region, b: Region, inter: Region, diff: Region, pts):
@@ -204,7 +237,7 @@ def _check_ops(a: Region, b: Region, inter: Region, diff: Region, pts):
     assert inter.area() >= 0 and diff.area() >= 0
     seen = 0
     for x, y in pts:
-        if _on_edge((a, b), x, y):
+        if _on_edge(a, b, x, y):
             continue
         in_a, in_b = a.contains(x, y), b.contains(x, y)
         assert inter.contains(x, y) == (in_a and in_b), (x, y)
@@ -231,14 +264,29 @@ _unit = st.integers(0, 97).map(lambda n: Fraction(n, 97))
 
 
 @settings(max_examples=40, deadline=None)
-@given(i=st.integers(0, 11), ts=st.lists(st.tuples(_unit, _unit),
-                                         min_size=20, max_size=20))
-def test_tower_region_ops_match_membership(i, ts):
+@given(i=st.integers(0, 11), data=st.data())
+def test_tower_region_ops_match_membership(i, data):
     a, b, inter, diff = _tower_pairs()[i]
     lo, hi = a.x_extent()
     y = max(a.y_extent_bound(), b.y_extent_bound())
-    pts = [(lo + (hi - lo) * Q(tx), y * Q(2 * ty - 1)) for tx, ty in ts]
-    _check_ops(a, b, inter, diff, pts)
+    ends = sorted({x for r in (a, b) for s in r.strips
+                   for x in (s.x_lo, s.x_hi)})
+    box = _unit.map(lambda t: y * Q(2 * t - 1))
+
+    def over(x):
+        """x with a y across the box or across the slice of a strip
+        whose closure holds x, a sixteenth beyond either bound."""
+        slices = [(s.lower(x), s.upper(x)) for r in (a, b) for s in r.strips
+                  if s.x_lo <= x <= s.x_hi]
+        ys = box if not slices else st.one_of(box, st.builds(
+            lambda ab, k: ab[0] + (ab[1] - ab[0]) * Q(Fraction(k, 16)),
+            st.sampled_from(slices), st.integers(-1, 17)))
+        return st.tuples(st.just(x), ys)
+    # x across a's extent or on any strip's x-end
+    xs = st.one_of(_unit.map(lambda t: lo + (hi - lo) * Q(t)),
+                   st.sampled_from(ends))
+    _check_ops(a, b, inter, diff,
+               data.draw(st.lists(xs.flatmap(over), min_size=20, max_size=20)))
 
 
 def _quarters(lo: int, hi: int):

@@ -10,12 +10,18 @@ geometry computes, its strip order included, changes a digest.
 Regenerate the file (only for an intended change of output) with
 
     PYTHONPATH=src python tests/test_golden_geometry.py > tests/data/geometry_digest.txt
+
+and print the lines behind each digest, to diff two versions, with
+
+    PYTHONPATH=src python tests/test_golden_geometry.py --lines
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 from pathlib import Path
+from typing import Iterator
 
 from phiplane.exchange import exchange_tower
 from phiplane.refine import refinement_chain
@@ -60,10 +66,14 @@ def _cell_lines(tower):
                 yield from map(_strip_line, c.region.strips)
 
 
-def geometry_digests() -> dict[str, str]:
+def geometry_lines() -> dict[str, Iterator[str]]:
     tower = exchange_tower(9)
-    return {"tower_levels_1_9": _sha(_tower_lines(tower)),
-            "refinement_cells_levels_1_5": _sha(_cell_lines(tower))}
+    return {"tower_levels_1_9": _tower_lines(tower),
+            "refinement_cells_levels_1_5": _cell_lines(tower)}
+
+
+def geometry_digests() -> dict[str, str]:
+    return {name: _sha(lines) for name, lines in geometry_lines().items()}
 
 
 def _read_golden() -> dict[str, str]:
@@ -76,5 +86,10 @@ def test_geometry_output_matches_golden_digest():
 
 
 if __name__ == "__main__":
-    for name, digest in geometry_digests().items():
-        print(name, digest)
+    if sys.argv[1:] == ["--lines"]:
+        for name, lines in geometry_lines().items():
+            for line in lines:
+                print(name, line)
+    else:
+        for name, digest in geometry_digests().items():
+            print(name, digest)
