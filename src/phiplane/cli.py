@@ -114,7 +114,11 @@ def run(argv: list[str]) -> int:
         if args.seed_lang == "min":
             lang = words.Language.from_words([(1,), (2,)], 2, args.max_len)
         else:
-            lang = words.Language.full(2, args.max_len)
+            try:
+                lang = words.Language.full(2, args.max_len)
+            except words.WordError as e:
+                print(f"phiplane language: error: {e}", file=sys.stderr)
+                return EXIT_USAGE
         lang = words.iterate_language(lang, args.iters, args.max_len)
         emit(lang.export())
     elif args.command == "translation":

@@ -3,10 +3,17 @@
 Words are plain tuples of symbols from {1..m}.  Languages are explicit
 finite sets of words with a hard length cap: every check in this
 package is desk-scale and exactness beats compactness.
+
+`Language.from_words` builds the factorial closure from the top down:
+a word gives only its factors of the top length, one slice per position
+rather than one per position and length, and each length gives the
+one-symbol prefixes and suffixes of its words, two inserts per word, to
+the length below.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -16,7 +23,11 @@ EPSILON: Word = ()
 
 
 class WordError(ValueError):
-    """Alphabet mismatch or a length beyond a language's cap."""
+    """Alphabet mismatch, a length beyond a language's cap or a language
+    too large to build."""
+
+
+FULL_LIMIT = 2 ** 20    # most words `Language.full` builds at its top length
 
 
 def factors(w: Word, n: int) -> set[Word]:
@@ -80,18 +91,41 @@ class Language:
 
     @classmethod
     def from_words(cls, words: Iterable[Word], m: int, max_len: int) -> "Language":
-        """Factorial closure of `words`, truncated to max_len."""
-        closed: set[Word] = {EPSILON}
+        """Factorial closure of `words`, truncated to max_len.
+
+        Each word adds only its factors of length min(|w|, max_len); then
+        every length k, from the longest present down, gives u[1:] and
+        u[:-1] of each of its words to length k - 1.  This is the whole
+        closure: a factor of length k - 1 of a word longer than that is a
+        prefix or a suffix of one of its length-k factors.
+        """
+        alphabet = frozenset(range(1, m + 1))
+        slices: defaultdict[int, set[Word]] = defaultdict(set, {0: {EPSILON}})
         for w in words:
-            for s in w:
-                if not 1 <= s <= m:
-                    raise WordError(f"symbol {s} outside alphabet 1..{m}")
-            for n in range(1, min(len(w), max_len) + 1):
-                closed |= factors(w, n)
-        return cls(m, max_len, frozenset(closed))
+            if not alphabet.issuperset(w):
+                s = next(s for s in w if s not in alphabet)
+                raise WordError(f"symbol {s} outside alphabet 1..{m}")
+            k = min(len(w), max_len)
+            slices[k] |= factors(w, k)
+        for k in range(max(slices), 1, -1):
+            below = slices[k - 1]
+            for u in slices[k]:
+                below.add(u[1:])
+                below.add(u[:-1])
+        return cls(m, max_len, frozenset().union(*slices.values()))
 
     @classmethod
     def full(cls, m: int, max_len: int) -> "Language":
+        """Every word over {1..m} of length <= max_len.
+
+        Raises WordError, before anything is allocated, when the top
+        length would hold more than FULL_LIMIT words.
+        """
+        # m**21 > FULL_LIMIT for every m >= 2, so the power stays small
+        if m ** min(max_len, FULL_LIMIT.bit_length()) > FULL_LIMIT:
+            raise WordError(f"the full language over {m} symbols up to "
+                            f"length {max_len} exceeds {FULL_LIMIT} words "
+                            "at its top length")
         words: list[Word] = [EPSILON]
         level: list[Word] = [EPSILON]
         for _ in range(max_len):

@@ -190,6 +190,27 @@ def test_cli_language_converges(capsys):
     assert "121121" in out.splitlines()
 
 
+@pytest.mark.parametrize("seed", ["full", "min"])
+def test_cli_language_golden_bytes(capsys, seed):
+    # recorded before the top-down closure replaced the all-lengths one
+    golden = os.path.join(os.path.dirname(__file__), "data",
+                          f"language_{seed}_i12_l10.txt")
+    with open(golden, newline="") as fh:
+        want = fh.read()
+    code, out, err = run_capture(capsys, ["language", "--seed-lang", seed,
+                                          "--iters", "12", "--max-len", "10"])
+    assert (code, out, err) == (0, want, "")
+
+
+def test_cli_language_full_too_large_exits_2(capsys):
+    # the size guard rejects this cap before any word is built
+    code, out, err = run_capture(capsys, ["language", "--seed-lang", "full",
+                                          "--max-len", "64"])
+    assert (code, out) == (2, "")
+    assert err.startswith("phiplane language: error: ")
+    assert err.count("\n") == 1
+
+
 def test_cli_render(capsys):
     code, out, _ = run_capture(capsys, ["render", "--level", "2"])
     assert code == 0

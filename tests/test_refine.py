@@ -6,7 +6,8 @@ from phiplane.exchange import (Point, build_base_exchange,
                                build_translation_exchange, exchange_tower,
                                sample_points)
 from phiplane.field import ONE, QPhi, ZERO, phi_power
-from phiplane.refine import (chain_language, complexity_table, preimage,
+from phiplane.geometry import region_intersect
+from phiplane.refine import (Cell, chain_language, complexity_table, preimage,
                              refinement_chain, three_distance_gaps)
 from phiplane.words import factors
 
@@ -38,6 +39,38 @@ def test_cell_areas_partition_domain(base):
         total = sum((c.cell_area for c in cells), ZERO)
         assert total == ONE     # the domain's area
         assert all(c.cell_area > ZERO for c in cells)
+
+
+def _unfiltered_chain(exchange, max_n):
+    # the refinement loop without the language filter: every piece meets
+    # every cell of the previous depth
+    cells = [Cell((p.label,), p.region, p.region.area())
+             for p in exchange.pieces if p.region.area() > ZERO]
+    chain = [sorted(cells, key=lambda c: c.word)]
+    while len(chain) < max_n:
+        cells = []
+        for piece in exchange.pieces:
+            for c in chain[-1]:
+                r = region_intersect(piece.region,
+                                     preimage(exchange, piece.label, c.region))
+                if r.area() > ZERO:
+                    cells.append(Cell((piece.label,) + c.word, r, r.area()))
+        chain.append(sorted(cells, key=lambda c: c.word))
+    return chain
+
+
+@pytest.mark.parametrize("which, depth",
+                         [("level1", 10), ("level3", 6), ("translation", 6)])
+def test_filter_keeps_every_cell(which, depth, base, translation):
+    # words, strips and areas equal the unfiltered loop's at every depth
+    E = (exchange_tower(3)[-1] if which == "level3"
+         else {"level1": base, "translation": translation}[which])
+
+    def cells(chain):
+        return [[(c.word, c.region.strips, c.cell_area) for c in depth_cells]
+                for depth_cells in chain]
+    assert cells(refinement_chain(E, depth)) == \
+        cells(_unfiltered_chain(E, depth))
 
 
 def test_refine_matches_chain(base):

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phiplane.words import (EPSILON, FIBONACCI, TRIBONACCI, Language,
                             Substitution, WordError, certified_complexity,
@@ -67,10 +68,67 @@ def test_language_closure():
         Language.from_words([(1, 5)], 2, 3)
 
 
+def _naive_closure(words, max_len):
+    # every factor of every length, sliced out of every word
+    out = set()
+    for w in words:
+        for n in range(min(len(w), max_len) + 1):
+            out |= factors(w, n)
+    return out | {EPSILON}
+
+
+def _lost_slices(lang, words, max_len):
+    # the lengths whose slice differs from the naive closure's
+    naive = _naive_closure(words, max_len)
+    return [n for n in range(max_len + 1)
+            if lang.slice(n) != {w for w in naive if len(w) == n}]
+
+
+@st.composite
+def _word_sets(draw):
+    m = draw(st.integers(1, 3))
+    max_len = draw(st.integers(0, 7))
+    word = st.lists(st.integers(1, m), max_size=max_len + 4).map(tuple)
+    words = draw(st.lists(word, max_size=6))
+    if words:   # duplicates
+        words += draw(st.lists(st.sampled_from(words), max_size=3))
+    words.insert(draw(st.integers(0, len(words))), EPSILON)
+    return m, max_len, words
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_word_sets(), bad=st.integers(4, 9))
+def test_closure_matches_naive(case, bad):
+    m, max_len, words = case
+    lang = Language.from_words(words, m, max_len)
+    assert _lost_slices(lang, words, max_len) == []
+    assert Language.from_words(iter(words), m, max_len) == lang
+    with pytest.raises(WordError, match=f"symbol {bad} outside"):
+        Language.from_words(words + [(1, bad)], max(m, 2), max_len)
+
+
+def test_closure_oracle_sees_a_lost_word():
+    # planted: a slice that lost one word must fail the comparison
+    words = [fibonacci_word(30), (2, 2), (1,)]
+    lang = Language.from_words(words, 2, 6)
+    assert _lost_slices(lang, words, 6) == []
+    for n in (1, 3, 6):
+        lost = min(lang.slice(n))
+        planted = Language(2, 6, lang.words - {lost})
+        assert _lost_slices(planted, words, 6) == [n]
+
+
 def test_full_language():
     lang = Language.full(2, 4)
     assert lang.complexity(4) == 16
     assert lang.complexity(0) == 1
+
+
+def test_full_language_rejects_huge_sizes():
+    # the guard fires before any word is built
+    for m, max_len in ((2, 21), (3, 13), (2, 64)):
+        with pytest.raises(WordError, match="exceeds"):
+            Language.full(m, max_len)
 
 
 def test_iterate_monotone_chains():
