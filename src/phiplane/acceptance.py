@@ -22,22 +22,16 @@ from .field import PHI, QPhi, ZERO, phi_power
 from .refine import chain_language, complexity_table, refinement_chain
 
 
-class _Cache:
-    """Shared heavyweight artifacts (the renormalization tower)."""
-
-    def __init__(self) -> None:
-        self._tower: list[PieceExchange] = []
-
-    def tower(self, levels: int) -> list[PieceExchange]:
-        """Levels 1..levels, extending the cached tower as needed."""
-        if not self._tower:
-            self._tower.append(build_base_exchange())
-        while len(self._tower) < levels:
-            self._tower.append(renormalize(self._tower[-1]))
-        return self._tower[:levels]
+_TOWER: list[PieceExchange] = []    # the checks' renormalization tower
 
 
-_cache = _Cache()
+def _tower(levels: int) -> list[PieceExchange]:
+    """Levels 1..levels, extending the cached tower as needed."""
+    if not _TOWER:
+        _TOWER.append(build_base_exchange())
+    while len(_TOWER) < levels:
+        _TOWER.append(renormalize(_TOWER[-1]))
+    return _TOWER[:levels]
 
 
 def _random_qphi(rng: random.Random, span: int = 40) -> QPhi:
@@ -139,7 +133,7 @@ def check_base_exchange() -> tuple[bool, str]:
 def check_renormalization() -> tuple[bool, str]:
     """Zone inclusions, areas, disjointness and the c2 recurrence."""
     levels = 12
-    tower = _cache.tower(levels + 1)
+    tower = _tower(levels + 1)
     for N in range(levels):
         before, after = tower[N], tower[N + 1]
         checks = renormalization_checks(before, after)
@@ -163,7 +157,7 @@ def check_theorem2_desk_scale() -> tuple[bool, str]:
     M(N) is the largest M with p(k) = k+1 for every k <= M at level N;
     the law also fixes the first excess, p(M+1) = M+3.
     """
-    tower = _cache.tower(10)
+    tower = _tower(10)
     fib = [1, 1]                    # F_1, F_2, ...
     while len(fib) < 9:
         fib.append(fib[-1] + fib[-2])
@@ -255,7 +249,7 @@ def check_unboundedness_evidence() -> tuple[bool, str]:
             if prev is not None and (cur - prev).sign() <= 0:
                 return False, f"no new |S_n| record in decade {N} for {x0}"
             prev = cur
-    tower = _cache.tower(tower_levels)
+    tower = _tower(tower_levels)
     extents = [max(p.region.y_extent_bound() for p in E.pieces)
                for E in tower]
     for a, b in zip(extents, extents[1:]):

@@ -23,7 +23,6 @@ DRIFT = phi_power(-3) * HALF         # 1/(2 phi**3)
 class SumRecord:
     n: int
     value: QPhi
-    is_record: bool
 
 
 def _start(x0: QPhi) -> tuple[int, int, int]:
@@ -117,7 +116,7 @@ def record_maxima(x0: QPhi, N: int) -> list[SumRecord]:
         aa, ab = (sa, sb) if sgn_pair(sa, sb) >= 0 else (-sa, -sb)
         if sgn_pair(aa - best_a, ab - best_b) > 0:
             best_a, best_b = aa, ab
-            out.append(SumRecord(n, QPhi.from_scaled(sa, sb, d), True))
+            out.append(SumRecord(n, QPhi.from_scaled(sa, sb, d)))
             if fast:
                 floor = abs(t) - 2 * err
     return out

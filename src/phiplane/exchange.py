@@ -274,29 +274,6 @@ def build_base_exchange(reading: str = "consistent") -> PieceExchange:
 PAPER_STATED_Z = phi_power(-1) * HALF + phi_power(-3) * HALF
 
 
-def witness_interval(exchange: PieceExchange) -> tuple[QPhi, QPhi]:
-    """Feasible interval for the projection witness z.
-
-    z must satisfy p(D1) within ]z-1, z+1/phi**2] and p(D2) within
-    ]z-1/phi**2, z+1/phi**2[; endpoint equalities are allowed only where
-    the corresponding vertical slice of the piece is empty.
-    """
-    d1 = exchange.piece(1).region
-    d2 = exchange.piece(2).region
-    lo1, hi1 = d1.x_extent()
-    lo2, hi2 = d2.x_extent()
-    z_min = hi1 - INV_PHI2
-    if (hi2 - INV_PHI2 - z_min).sign() > 0:
-        z_min = hi2 - INV_PHI2
-    z_max = lo1 + ONE
-    if (lo2 + INV_PHI2 - z_max).sign() < 0:
-        z_max = lo2 + INV_PHI2
-    if (z_max - z_min).sign() < 0:
-        raise ExchangeError(
-            "projection hypothesis fails: no witness z fits the piece extents")
-    return z_min, z_max
-
-
 def check_projection_witness(exchange: PieceExchange, z: QPhi) -> list[str]:
     """Violated projection conditions for a candidate witness, if any."""
     d1 = exchange.piece(1).region
@@ -321,8 +298,19 @@ def check_projection_witness(exchange: PieceExchange, z: QPhi) -> list[str]:
 
 
 def projection_witness(exchange: PieceExchange) -> QPhi:
-    """A witness z computed from the constructed strips."""
-    z_min, z_max = witness_interval(exchange)
+    """A witness z computed from the constructed strips.
+
+    p(D1) within ]z-1, z+1/phi**2] and p(D2) within ]z-1/phi**2,
+    z+1/phi**2[ confine z to [z_min, z_max]; `check_projection_witness`
+    decides each candidate, where an end holds only over an empty slice.
+    """
+    lo1, hi1 = exchange.piece(1).region.x_extent()
+    lo2, hi2 = exchange.piece(2).region.x_extent()
+    z_min = max(hi1, hi2) - INV_PHI2
+    z_max = min(lo1 + ONE, lo2 + INV_PHI2)
+    if z_max < z_min:
+        raise ExchangeError(
+            "projection hypothesis fails: no witness z fits the piece extents")
     for z in (z_min, (z_min + z_max) * HALF, z_max):
         if not check_projection_witness(exchange, z):
             return z

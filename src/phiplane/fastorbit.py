@@ -12,12 +12,8 @@ tests at every level; a point on an endpoint or a strip bound goes to
 `PieceExchange.locate`.  Long runs go JUMP_LENGTH symbols at a time: the
 same search over the depth-L coding cells of `PieceExchange.power`
 gives a cell's whole word and its branch, an integer-slope shear like
-every single branch.  Measured on a shared 2-vCPU host (Python 3.11.7,
-in-process medians of 2 x 20k-step codings), single steps run at about
-2.5e5 steps/s at level 1, 2.2e5 at level 4, 1.8e5 at level 8 and 1.5e5
-at level 12, and macro steps at 8e5, 1.25e6, 1.4e6 and 1e6 symbols/s;
-the jump table takes 0.046, 0.041, 0.21 and 1.4 s to build, hence
-JUMP_AFTER, which leaves it out of runs too short to pay for it.
+every single branch.  Where a macro step is left open, one single step
+is taken and the macro step is tried again from the next point.
 """
 
 from __future__ import annotations
@@ -168,10 +164,12 @@ class CompiledExchange:
     Both go through `_locate`, which decides only points strictly inside
     a strip.  A single step it leaves open takes its label from
     `PieceExchange.locate`, which decides the boundary and raises as
-    `PieceExchange.step` does; a macro step it leaves open becomes
-    JUMP_LENGTH single steps.  A point strictly inside a cell strip has
-    the cell's word wherever no two pieces share a vertical segment (none
-    do in the exchanges the package builds).
+    `PieceExchange.step` does.  A macro step it leaves open, or one with
+    fewer than JUMP_LENGTH symbols left, becomes one single step, and
+    the next point tries a macro step again.  A point strictly inside a
+    cell strip has the cell's word wherever no two pieces share a
+    vertical segment (none do in the exchanges the package builds), so
+    any mix of macro and single steps codes the same word.
     """
 
     def __init__(self, exchange: PieceExchange) -> None:
@@ -183,7 +181,7 @@ class CompiledExchange:
     def _table(self, d: int) -> tuple:
         return self._index.table(d)
 
-    def _run(self, p: Point, n: int, record: bool):
+    def _run(self, p: Point, n: int) -> Word:
         self._asked += n
         jumps = self._jumps
         if jumps is None and \
@@ -198,25 +196,19 @@ class CompiledExchange:
         ya, yb = _pair(p.y, d)
         word: list[int] = []
         left = n
-        owed = 0        # single steps left after a macro step gave up
         while left:
             move = None
-            if jumps is not None and not owed and left >= JUMP_LENGTH:
+            if jumps is not None and left >= JUMP_LENGTH:
                 move = _locate(jgaps, jends_a, jends_b, d2, xa, xb, ya, yb)
-                if move is None:
-                    owed = JUMP_LENGTH
             if move is None:
                 move = _locate(gaps, ends_a, ends_b, d2, xa, xb, ya, yb)
                 if move is None:
                     move = moves[self.exchange.locate(Point(
                         QPhi.from_scaled(xa, xb, d),
                         QPhi.from_scaled(ya, yb, d)))]
-                if owed:
-                    owed -= 1
             # the branch (x, y) -> (x + u, y + k*x + q0)
             label, ua, ub, qa, qb, k = move
-            if record:
-                word.extend(label)
+            word.extend(label)
             if k:
                 ya += k * xa
                 yb += k * xb
@@ -228,11 +220,11 @@ class CompiledExchange:
         return tuple(word)
 
     def code_orbit(self, p: Point, n: int) -> Word:
-        return self._run(p, n, record=True)
+        return self._run(p, n)
 
     def orbit_in_domain(self, p: Point, n: int) -> bool:
         try:
-            self._run(p, n, record=False)
+            self._run(p, n)
             return True
         except ExchangeError:
             return False
@@ -248,15 +240,8 @@ class BaseExchangeOrbit:
     def __init__(self) -> None:
         self.compiled = build_base_exchange().compiled
 
-    def run(self, pt: Point, n: int, record: bool = True):
-        return self.compiled._run(pt, n, record)
+    def run(self, pt: Point, n: int) -> Word:
+        return self.compiled._run(pt, n)
 
     def code_orbit(self, pt: Point, n: int) -> Word:
         return self.run(pt, n)
-
-    def orbit_in_domain(self, pt: Point, n: int) -> bool:
-        try:
-            self.run(pt, n, record=False)
-            return True
-        except ExchangeError:
-            return False

@@ -64,9 +64,6 @@ class Strip:
     lower_closed: bool = False
     upper_closed: bool = True
 
-    def width(self) -> QPhi:
-        return self.x_hi - self.x_lo
-
     def area(self) -> QPhi:
         # upper - lower is affine: the shared c2 must cancel
         if cmp(self.upper.c2, self.lower.c2) != 0:

@@ -141,15 +141,15 @@ def exchange_svg(exchange: PieceExchange) -> str:
     polys: list[tuple[int, list[tuple[float, float]]]] = []
     for label, s in strips:
         x_lo, x_hi = float(s.x_lo), float(s.x_hi)
+        u2, u1, u0 = float(s.upper.c2), float(s.upper.c1), float(s.upper.c0)
+        l2, l1, l0 = float(s.lower.c2), float(s.lower.c1), float(s.lower.c0)
         pts_top = []
         pts_bot = []
         for i in range(_SVG_SAMPLES + 1):
             t = i / _SVG_SAMPLES
             x = x_lo + (x_hi - x_lo) * t
-            c2, c1, c0 = (float(s.upper.c2), float(s.upper.c1), float(s.upper.c0))
-            pts_top.append((x, c2 * x * x + c1 * x + c0))
-            c2, c1, c0 = (float(s.lower.c2), float(s.lower.c1), float(s.lower.c0))
-            pts_bot.append((x, c2 * x * x + c1 * x + c0))
+            pts_top.append((x, u2 * x * x + u1 * x + u0))
+            pts_bot.append((x, l2 * x * x + l1 * x + l0))
         poly = pts_top + pts_bot[::-1]
         polys.append((label, poly))
         xs.extend(p[0] for p in poly)

@@ -25,13 +25,13 @@ def test_tower_cache_extends_instead_of_rebuilding(monkeypatch):
         calls.append(exchange.level)
         return real(exchange)
     monkeypatch.setattr(acceptance, "renormalize", counted)
-    cache = acceptance._Cache()
-    short = cache.tower(2)
-    longer = cache.tower(4)
+    monkeypatch.setattr(acceptance, "_TOWER", [])
+    short = acceptance._tower(2)
+    longer = acceptance._tower(4)
     assert calls == [1, 2, 3]
     assert [E.level for E in longer] == [1, 2, 3, 4]
     assert all(a is b for a, b in zip(short, longer))
-    assert cache.tower(3) == longer[:3] and calls == [1, 2, 3]
+    assert acceptance._tower(3) == longer[:3] and calls == [1, 2, 3]
 
 
 def test_criterion6_fails_on_a_dropped_cell(monkeypatch):

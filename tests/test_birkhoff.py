@@ -67,7 +67,7 @@ def test_step_and_drift_constants():
 
 def test_record_maxima_structure():
     recs = record_maxima(ZERO, 10000)
-    assert recs[0] == SumRecord(0, -HALF, True)
+    assert recs[0] == SumRecord(0, -HALF)
     mags = [abs(r.value) for r in recs]
     for a, b in zip(mags, mags[1:]):
         assert b > a
@@ -177,7 +177,7 @@ def _records_exact(x0: QPhi, N: int) -> list[SumRecord]:
         aa, ab = (sa, sb) if sgn_pair(sa, sb) >= 0 else (-sa, -sb)
         if sgn_pair(aa - best_a, ab - best_b) > 0:
             best_a, best_b = aa, ab
-            out.append(SumRecord(n, QPhi.from_scaled(sa, sb, d), True))
+            out.append(SumRecord(n, QPhi.from_scaled(sa, sb, d)))
     return out
 
 

@@ -14,7 +14,7 @@ from phiplane.exchange import (INV_PHI2, PAPER_STATED_Z, PSI, T_PHI,
                                projection_witness, psi_inverse,
                                rational_dependence, renormalization_checks,
                                renormalize, sample_points, strip_midpoint,
-                               translation, witness_interval)
+                               translation)
 from phiplane import fastorbit
 from phiplane.fastorbit import CompiledExchange
 from phiplane.field import HALF, ONE, PHI, QPhi, ZERO, phi_power, sgn_pair
@@ -81,8 +81,6 @@ def test_base_supports(base):
 
 def test_stated_witness_confirmed(base):
     assert check_projection_witness(base, PAPER_STATED_Z) == []
-    z_min, z_max = witness_interval(base)
-    assert z_min <= PAPER_STATED_Z <= z_max
     assert check_projection_witness(base, projection_witness(base)) == []
 
 
@@ -541,6 +539,13 @@ def test_code_orbit_entry_point(base):
     p = sample_points(base, 1, seed=13)[0]
     w = base.code_orbit(p, 64)
     assert len(w) == 64 and set(w) <= {1, 2}
+
+
+def test_base_exchange_orbit_shim_codes_like_the_base_exchange(base):
+    stepper = fastorbit.BaseExchangeOrbit()
+    for p in sample_points(base, 3, seed=19):
+        want = base.code_orbit(p, 3000)
+        assert stepper.code_orbit(p, 3000) == stepper.run(p, 3000) == want
 
 
 def test_code_orbit_compiles_once(monkeypatch):
