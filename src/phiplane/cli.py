@@ -31,8 +31,10 @@ def _qphi_arg(text: str) -> QPhi:
             "expected four comma-separated integers a_num,a_den,b_num,b_den")
     try:
         return QPhi.from_ints([int(p) for p in parts])
-    except (ValueError, ZeroDivisionError) as e:
+    except ValueError as e:
         raise argparse.ArgumentTypeError(str(e))
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError("zero denominator")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -162,8 +164,13 @@ def run(argv: list[str]) -> int:
 def _write(output: str | None, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
     if output:
-        with open(output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w") as fh:
+                fh.write(text)
+        except OSError as e:    # a usage error: one line, exit 2
+            print(f"phiplane: error: cannot write {output}: {e.strerror}",
+                  file=sys.stderr)
+            raise SystemExit(EXIT_USAGE)
     else:
         sys.stdout.write(text)
 

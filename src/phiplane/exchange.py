@@ -222,7 +222,9 @@ class PieceExchange:
         return PieceExchange(base, tuple(pieces), self.level)
 
     def leading_coefficient(self) -> QPhi:
-        return self.pieces[0].region.leading_coefficient()
+        """The c2 of all strips of all pieces; `GeometryError` on a mix."""
+        return Region(tuple(s for p in self.pieces
+                            for s in p.region.strips)).leading_coefficient()
 
 
 # -- the base exchange of the nilsystem ---------------------------------

@@ -10,8 +10,8 @@ fused predicates `cmp(x, y)` (the sign of x - y) and `sgn_affine(d1, d0,
 x)` (the sign of d1*x + d0) evaluate in integers with one `sgn_pair`
 call, building no element and taking no gcd.  The
 rational coordinates a, b of a + b*phi stay available as `Fraction`
-properties.  A double-precision embedding with a certified error bound
-serves rendering and filters; it never decides a branch on its own.
+properties.  Doubles serve rendering and display only, and the certified
+bounds of `float_bounds` serve filters; no double decides a branch.
 """
 
 from __future__ import annotations
@@ -311,7 +311,7 @@ class QPhi:
         return (self._A + self._B * mid) / self._D
 
     def __float__(self) -> float:
-        """x as a double, for rendering and sort keys only: the estimate
+        """x as a double, for rendering and display only: the estimate
         A/D + (B/D)*phi where its terms cancel by less than 2**10 (so it
         is within 2**-40 |x|), else ((2A + B) 2**k + B*isqrt(5 * 4**k))
         / (2D 2**k) within 1 ulp, as |A + B*phi| >= 1/(|A| + |B|) (the

@@ -11,6 +11,10 @@ cuts are read from a table of pairwise signs rather than found by
 evaluating the bounds.  Only values that are stored (roots that become
 cuts, bound values that become extents) are built as elements.
 
+Every order is the exact order of Q(phi): strips sort by (x_lo, x_hi),
+and cuts and extremes are compared as elements.  The only doubles are
+`Strip.x_box`'s certified boxes, which skip surely x-disjoint pairs.
+
 Intersection and subtraction keep every closedness flag, so they match
 point membership except on a vertical segment that only a zero-width
 strip could hold, on strip endpoints: where strips of a and b meet only
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -115,7 +119,7 @@ class Strip:
 
     def y_abs_bound(self) -> QPhi:
         """Max of |lower|, |upper| over the interval, exact."""
-        top = bot = ZERO        # the largest and the smallest value seen
+        values: list[QPhi] = []
         for bound in (self.lower, self.upper):
             xs = [self.x_lo, self.x_hi]
             if bound.c2:
@@ -125,14 +129,8 @@ class Strip:
                 if sgn_affine(slope, bound.c1, self.x_lo) \
                         * sgn_affine(slope, bound.c1, self.x_hi) < 0:
                     xs.append(-bound.c1 / slope)
-            for x in xs:
-                v = bound(x)
-                if cmp(v, top) > 0:
-                    top = v
-                elif cmp(v, bot) < 0:
-                    bot = v
-        bot = -bot
-        return top if cmp(top, bot) >= 0 else bot
+            values.extend(bound(x) for x in xs)
+        return max(max(values), -min(values))
 
 
 @dataclass(frozen=True)
@@ -154,22 +152,11 @@ class Region:
     def x_extent(self) -> tuple[QPhi, QPhi]:
         if not self.strips:
             raise GeometryError("empty region has no x-extent")
-        lo = self.strips[0].x_lo
-        hi = self.strips[0].x_hi
-        for s in self.strips[1:]:
-            if cmp(s.x_lo, lo) < 0:
-                lo = s.x_lo
-            if cmp(s.x_hi, hi) > 0:
-                hi = s.x_hi
-        return lo, hi
+        return (min(s.x_lo for s in self.strips),
+                max(s.x_hi for s in self.strips))
 
     def y_extent_bound(self) -> QPhi:
-        best = ZERO
-        for s in self.strips:
-            v = s.y_abs_bound()
-            if cmp(v, best) > 0:
-                best = v
-        return best
+        return max((s.y_abs_bound() for s in self.strips), default=ZERO)
 
     def contains(self, x: QPhi, y: QPhi) -> bool:
         return any(s.contains(x, y) for s in self.strips)
@@ -181,22 +168,20 @@ class Region:
         return any(s.slice_nonempty_at(x) for s in self.strips)
 
     def leading_coefficient(self) -> QPhi:
-        if not self.strips:
-            raise GeometryError("empty region has no leading coefficient")
-        c2 = self.strips[0].lower.c2
-        for s in self.strips:
-            if s.lower.c2 != c2 or s.upper.c2 != c2:
-                raise GeometryError("mixed leading coefficients in region")
-        return c2
+        c2s = {b.c2 for s in self.strips for b in (s.lower, s.upper)}
+        if len(c2s) != 1:
+            raise GeometryError("region has no single leading coefficient")
+        return c2s.pop()
 
 
 EMPTY_REGION = Region(())
 
 
 def merge_strips(strips: Iterable[Strip]) -> tuple[Strip, ...]:
-    """Drop empty strips and fuse x-adjacent strips with equal bounds."""
+    """Drop empty strips, sort the rest by (x_lo, x_hi) exactly (ties
+    keep their input order) and fuse x-adjacent strips with equal bounds."""
     kept = [s for s in strips if cmp(s.x_hi, s.x_lo) > 0]
-    kept.sort(key=lambda s: (float(s.x_lo), float(s.x_hi)))
+    kept.sort(key=lambda s: (s.x_lo, s.x_hi))
     out: list[Strip] = []
     for s in kept:
         if out:
@@ -253,14 +238,7 @@ def strips_from_constraints(x_lo: QPhi, x_hi: QPhi,
             if s_lo * s_hi < 0:
                 flips.setdefault(-d0 / d1, []).append((i, j))
             sign[i, j] = s_lo or s_hi
-    points = [x_lo, x_hi]
-    if flips:
-        points = sorted(points + list(flips), key=float)
-        # float sort is a heuristic ordering; enforce exactness
-        for a, b in zip(points, points[1:]):
-            if cmp(b, a) <= 0:
-                points = sorted(points, key=cmp_to_key(cmp))
-                break
+    points = [x_lo, *sorted(flips), x_hi]     # every root is inside
     out: list[Strip] = []
     last = len(points) - 2
     for i, (a, b) in enumerate(zip(points, points[1:])):
@@ -382,8 +360,7 @@ def region_subtract(a: Region, b: Region) -> Region:
             if ahi < blo or bhi < alo:
                 nxt.append(sa)
                 continue
-            nxt.extend(s for s in _strip_subtract(sa, sb)
-                       if cmp(s.x_hi, s.x_lo) > 0)
+            nxt.extend(_strip_subtract(sa, sb))
         current = nxt
     return Region.of(current)
 

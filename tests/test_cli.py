@@ -225,6 +225,18 @@ def test_cli_output_file(tmp_path, capsys):
     assert target.read_text().splitlines()[0] == "n,s_n,is_record"
 
 
+def test_cli_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    with pytest.raises(SystemExit) as exc:
+        run(["-o", str(target), "base"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"phiplane: error: cannot write {target}: ")
+    assert err.count("\n") == 1
+    assert not target.exists()
+
+
 def test_cli_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["complexity", "--level", "0"])
@@ -238,6 +250,10 @@ def test_cli_usage_errors_exit_2(capsys):
         run([])
     assert exc.value.code == 2
     capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(["sums", "--x0", "1,0,0,1"])
+    assert exc.value.code == 2
+    assert "argument --x0: zero denominator" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_sympy_out():

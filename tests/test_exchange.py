@@ -18,7 +18,7 @@ from phiplane.exchange import (INV_PHI2, PAPER_STATED_Z, PSI, T_PHI,
 from phiplane import fastorbit
 from phiplane.fastorbit import CompiledExchange
 from phiplane.field import HALF, ONE, PHI, QPhi, ZERO, phi_power, sgn_pair
-from phiplane.geometry import QuadBound, Region, Strip
+from phiplane.geometry import GeometryError, QuadBound, Region, Strip
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +181,19 @@ def test_leading_coefficient_recurrence(tower4):
         assert after.leading_coefficient() == -PHI * PHI * c - PHI * HALF
         c = after.leading_coefficient()
     assert tower4[1].leading_coefficient() == -PHI * PHI * PHI
+
+
+def test_leading_coefficient_reads_every_piece(base):
+    # D2 alone gets another c2: piece 1 no longer speaks for the exchange
+    d2 = base.piece(2)
+    shifted = Region(tuple(
+        replace(s, lower=QuadBound(s.lower.c2 + ONE, s.lower.c1, s.lower.c0),
+                upper=QuadBound(s.upper.c2 + ONE, s.upper.c1, s.upper.c0))
+        for s in d2.region.strips))
+    E = replace(base, pieces=(base.piece(1), replace(d2, region=shifted)))
+    assert shifted.leading_coefficient() == base.leading_coefficient() + ONE
+    with pytest.raises(GeometryError):
+        E.leading_coefficient()
 
 
 def test_tower_levels_and_strip_growth(tower4):

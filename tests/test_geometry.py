@@ -1,11 +1,13 @@
 import functools
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from phiplane import geometry
-from phiplane.exchange import exchange_tower
+from phiplane.exchange import (exchange_tower, renormalization_checks,
+                                sample_points)
 from phiplane.refine import refinement_chain
 from phiplane.field import PHI, QPhi, ZERO, phi_power
 from phiplane.geometry import (EMPTY_REGION, GeometryError, QuadBound, Region,
@@ -132,6 +134,36 @@ def test_merge_fuses_adjacent_strips():
     # different bounds stay separate
     merged = merge_strips([rect(0, 1, 0, 1), rect(1, 2, 0, 2)])
     assert len(merged) == 2
+
+
+def test_merge_orders_ends_closer_than_a_double():
+    # 1/2, 1/2 + e and 1/2 + 2e are one double: only the exact order puts
+    # a before b, so that they fuse, in every input order
+    e = phi_power(-80)
+    x0, x1, x2 = HALF, HALF + e, HALF + 2 * e
+    assert float(x0) == float(x1) == float(x2) == 0.5
+    a = Strip(x0, x1, const(0), const(1))
+    b = Strip(x1, x2, const(0), const(1))
+    c = Strip(x2, Q(1), const(0), const(2))
+    want = (Strip(x0, x2, const(0), const(1)), c)
+    for order in permutations([a, b, c]):
+        assert Region.of(order).strips == want, order
+
+
+def test_no_double_decides_an_order(monkeypatch):
+    # the tower with its checks, a refinement and an orbit through the
+    # jump table touch geometry, exchange, refine and fastorbit; only
+    # the certified `float_bounds` filters may use doubles
+    def no_float(self):
+        raise AssertionError(f"float({self!r})")
+    monkeypatch.setattr(QPhi, "__float__", no_float)
+    tower = exchange_tower(6)
+    for before, after in zip(tower, tower[1:]):
+        assert all(renormalization_checks(before, after).values())
+    E1 = tower[0]
+    assert len(refinement_chain(E1, 10)[-1]) == 61
+    p = sample_points(E1, 1, seed=3)[0]
+    assert len(E1.compiled.code_orbit(p, 20000)) == 20000
 
 
 def test_merge_drops_empty():
@@ -424,9 +456,8 @@ def test_pair_table_keeps_level_mismatch_error():
 
 
 def test_strips_from_constraints_orders_roots_closer_than_a_double():
-    # the roots 1 and b = 1 - 2**-60 round to the same double, and the
-    # stable float sort keeps 1 (found first) before b: only the exact
-    # sort puts the cuts in order
+    # the roots 1 and b = 1 - 2**-60 round to the same double, and 1 is
+    # found first: the cuts are sorted exactly, so b still comes first
     b = Q(Fraction(2 ** 60 - 1, 2 ** 60))
     assert float(b) == 1.0 and b < 1
     lowers = [(const(0), False), (QuadBound(ZERO, Q(1), Q(-1)), True)]
