@@ -3,8 +3,8 @@
 The fractional parts are tracked incrementally: the step 1/phi**2 lies
 in (0, 1), so each update either stays below 1 or wraps once.  A scaled
 integer fast path, whose tests a certified double-precision estimate
-decides unless it is too close to call, keeps million-term runs cheap;
-a direct floor-based evaluation provides an independent cross-check.
+decides unless it is too close to call, keeps million-term runs cheap.
+The tests check it against a direct evaluation, one exact floor per term.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .field import (FLOAT_ERR, HALF, PHI, PHI_FLOAT, QPhi, ZERO,
-                    phi_power, sgn_pair)
+from .field import FLOAT_ERR, HALF, PHI, PHI_FLOAT, QPhi, phi_power, sgn_pair
 
 STEP = phi_power(-2)                 # 1/phi**2 = 2 - phi
 DRIFT = phi_power(-3) * HALF         # 1/(2 phi**3)
@@ -57,14 +56,6 @@ def birkhoff_sum(x0: QPhi, n: int) -> QPhi:
     for sa, sb in _sums(fa, fb, d, n):
         pass
     return QPhi.from_scaled(sa, sb, d)
-
-
-def birkhoff_sum_direct(x0: QPhi, n: int) -> QPhi:
-    """S_n recomputed from scratch, one exact floor per term."""
-    total = ZERO
-    for k in range(n + 1):
-        total = total + (x0 + k * STEP).frac() - HALF
-    return total
 
 
 def record_maxima(x0: QPhi, N: int) -> list[SumRecord]:
@@ -120,12 +111,6 @@ def record_maxima(x0: QPhi, N: int) -> list[SumRecord]:
             if fast:
                 floor = abs(t) - 2 * err
     return out
-
-
-def max_abs_sum(x0: QPhi, N: int) -> QPhi:
-    """max_{n<=N} |S_n|."""
-    recs = record_maxima(x0, N)
-    return abs(recs[-1].value)
 
 
 def sums_csv(x0: QPhi, N: int) -> str:

@@ -8,10 +8,11 @@ arithmetic is plain integer arithmetic with one gcd per result, and all
 comparisons go through one exact integer sign routine, `sgn_pair`.  The
 fused predicates `cmp(x, y)` (the sign of x - y) and `sgn_affine(d1, d0,
 x)` (the sign of d1*x + d0) evaluate in integers with one `sgn_pair`
-call, building no element and taking no gcd.  The
-rational coordinates a, b of a + b*phi stay available as `Fraction`
-properties.  Doubles serve rendering and display only, and the certified
-bounds of `float_bounds` serve filters; no double decides a branch.
+call, building no element and taking no gcd.  The rational coordinates
+a, b of a + b*phi stay available as `Fraction` properties.  Doubles
+serve rendering and display only (`float` is within 1 ulp), and the
+certified bounds of `float_bounds` serve filters; no double decides a
+branch.
 """
 
 from __future__ import annotations
@@ -303,7 +304,7 @@ class QPhi:
     # -- embedding (rendering / oracles only) -------------------------
 
     def approx(self, bits: int = 200) -> Fraction:
-        """Rational approximation within 2**-bits, for oracles and output."""
+        """Within |B|/D * 2**-(bits+2) of x, for oracles and output."""
         root = isqrt(5 << (2 * bits))  # floor(sqrt(5) * 2**bits)
         lo = Fraction((1 << bits) + root, 1 << (bits + 1))
         hi = Fraction((1 << bits) + root + 1, 1 << (bits + 1))
@@ -311,23 +312,19 @@ class QPhi:
         return (self._A + self._B * mid) / self._D
 
     def __float__(self) -> float:
-        """x as a double, for rendering and display only: the estimate
-        A/D + (B/D)*phi where its terms cancel by less than 2**10 (so it
-        is within 2**-40 |x|), else ((2A + B) 2**k + B*isqrt(5 * 4**k))
-        / (2D 2**k) within 1 ulp, as |A + B*phi| >= 1/(|A| + |B|) (the
-        norm A**2 + AB - B**2 is a nonzero integer)."""
+        """x as a double within 1 ulp, for rendering and display only:
+        ((2A + B) 2**k + B*isqrt(5 * 4**k)) / (2D 2**k) has relative
+        error below 2**-64 before its one correctly rounded division, as
+        |A + B*phi| >= 1/(|A| + |B|) (the norm A**2 + AB - B**2 is a
+        nonzero integer).  It raises only outside the double range."""
         A, B, D = self._A, self._B, self._D
-        a, b = A / D, B / D * PHI_FLOAT
-        f = a + b
-        if abs(a) + abs(b) <= abs(f) * 1024.0:
-            return f
         k = 64 + 2 * max(A.bit_length(), B.bit_length())
         return (((2 * A + B) << k) + B * isqrt(5 << 2 * k)) / (D << k + 1)
 
     def float_bounds(self) -> Tuple[float, float]:
-        """Floats lo <= x <= hi around float(x), for certified filters.
+        """Floats lo <= x <= hi around A/D + (B/D)*phi, for certified filters.
 
-        The error of float(x) is bounded relative to (|A| + 2|B|)/D,
+        The error of that estimate is bounded relative to (|A| + 2|B|)/D,
         not to |x|, so it grows with the coefficients even when the
         value is small.  Values beyond the float range give infinities.
         """

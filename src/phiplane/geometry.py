@@ -27,7 +27,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .field import HALF, QPhi, ZERO, cmp, sgn_affine
 
@@ -323,46 +323,39 @@ def _strip_subtract(a: Strip, b: Strip) -> list[Strip]:
     return out
 
 
-# Pair prefilter: pairs whose x-boxes (`Strip.x_box`, floats certain to
-# enclose the x-interval) are apart are x-disjoint and skipped; every
-# other pair is decided by the exact overlap test in
-# _strip_intersect/_strip_subtract.
+def _near(a: Region, b: Region) -> Iterator[tuple[Strip, list[Strip]]]:
+    """Each strip of a with the strips of b, in b's order, whose x-boxes
+    (`Strip.x_box`, floats certain to enclose the x-interval) meet its
+    own.  Every other strip of b is x-disjoint from it: it meets none of
+    its fragments, and leaves each unchanged when subtracted.
 
-def region_intersect(a: Region, b: Region) -> Region:
-    """The intersection; pairs are visited a-strip by a-strip, each in
-    b's order, so the output is the same whatever the pairs skipped.
-
-    Each strip of a visits only a window of b: before it every box ends
+    Each strip of a scans only a window of b: before it every box ends
     left of the strip (a prefix maximum of box ends), from its end on
     every box starts right of it (a suffix minimum of box starts).
     """
-    out: list[Strip] = []
-    boxes = [sb.x_box for sb in b.strips]
-    reach = list(accumulate((hi for _, hi in boxes), max))
-    floor = list(accumulate((lo for lo, _ in reversed(boxes)), min))[::-1]
+    boxed = [(sb.x_box, sb) for sb in b.strips]
+    reach = list(accumulate((hi for (_, hi), _ in boxed), max))
+    floor = list(accumulate((lo for (lo, _), _ in reversed(boxed)), min))[::-1]
     for sa in a.strips:
         alo, ahi = sa.x_box
-        for j in range(bisect_left(reach, alo), bisect_right(floor, ahi)):
-            blo, bhi = boxes[j]
-            if ahi < blo or bhi < alo:
-                continue
-            out.extend(_strip_intersect(sa, b.strips[j]))
-    return Region.of(out)
+        yield sa, [sb for (blo, bhi), sb in boxed[bisect_left(reach, alo):
+                                                  bisect_right(floor, ahi)]
+                   if alo <= bhi and blo <= ahi]
+
+
+def region_intersect(a: Region, b: Region) -> Region:
+    return Region.of([t for sa, near in _near(a, b) for sb in near
+                      for t in _strip_intersect(sa, sb)])
 
 
 def region_subtract(a: Region, b: Region) -> Region:
-    current = list(a.strips)
-    for sb in b.strips:
-        blo, bhi = sb.x_box
-        nxt: list[Strip] = []
-        for sa in current:
-            alo, ahi = sa.x_box
-            if ahi < blo or bhi < alo:
-                nxt.append(sa)
-                continue
-            nxt.extend(_strip_subtract(sa, sb))
-        current = nxt
-    return Region.of(current)
+    out: list[Strip] = []
+    for sa, near in _near(a, b):
+        pieces = [sa]
+        for sb in near:
+            pieces = [t for p in pieces for t in _strip_subtract(p, sb)]
+        out.extend(pieces)
+    return Region.of(out)
 
 
 def is_subset(a: Region, b: Region) -> bool:

@@ -75,19 +75,3 @@ def chain_language(exchange: PieceExchange,
     words = {c.word for cells in chain for c in cells}
     return Language.from_words(words, m, len(chain))
 
-
-def three_distance_gaps(alpha: QPhi, n: int) -> list[QPhi]:
-    """Sorted gaps of the circle partition by {0, {alpha}, ..., {n*alpha}}.
-
-    Independent one-dimensional oracle: the largest gap bounds the
-    marginal extent of any depth-(n+1) coding cell of the rotation.
-    """
-    pts = [QPhi(0)]
-    x = QPhi(0)
-    for _ in range(n):
-        x = (x + alpha).frac()
-        pts.append(x)
-    pts = sorted(set(pts))
-    gaps = [pts[i + 1] - pts[i] for i in range(len(pts) - 1)]
-    gaps.append(QPhi(1) - pts[-1])
-    return sorted(gaps)

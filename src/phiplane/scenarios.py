@@ -87,11 +87,6 @@ class Poly:
             out[rest] = out.get(rest, 0) + c
         return Poly(out)
 
-    def value(self, values: Mapping[str, Coeff]) -> Fraction:
-        """The number this is when every name has a value."""
-        return Fraction(sum(c * prod(values[n] for n in m)
-                            for m, c in self.terms.items()))
-
     def denominator(self) -> int:
         """The lcm of the coefficient denominators."""
         return lcm(*(Fraction(c).denominator for c in self.terms.values()))
@@ -169,13 +164,6 @@ class IntegerRelation:
 
     def is_nonzero(self) -> bool:
         return bool(self.coeff_r) or bool(self.coeff_s)
-
-    def evaluate(self, shifts: Mapping[str, int], r: Coeff,
-                 s: Coeff) -> Fraction:
-        """coeff_r*r + coeff_s*s - constant at integer shifts, exactly."""
-        cr, cs, c0 = (p.value(shifts)
-                      for p in (self.coeff_r, self.coeff_s, self.constant))
-        return cr * r + cs * s - c0
 
 
 def shift_names(piece_count: int) -> tuple[list[str], list[str]]:

@@ -6,11 +6,24 @@ import pytest
 
 from phiplane import birkhoff
 from phiplane.birkhoff import (DRIFT, STEP, SumRecord, birkhoff_sum,
-                               birkhoff_sum_direct,
-                               max_abs_sum, record_maxima, sums_csv)
+                               record_maxima, sums_csv)
 from phiplane.field import HALF, PHI, QPhi, ZERO, phi_power, sgn_pair
 
 PHI_F = (1 + 5 ** 0.5) / 2
+
+
+def birkhoff_sum_direct(x0: QPhi, n: int) -> QPhi:
+    """S_n recomputed from scratch, one exact floor per term."""
+    total = ZERO
+    for k in range(n + 1):
+        total = total + (x0 + k * STEP).frac() - HALF
+    return total
+
+
+def max_abs_sum(x0: QPhi, N: int) -> QPhi:
+    """max_{n<=N} |S_n|."""
+    recs = record_maxima(x0, N)
+    return abs(recs[-1].value)
 
 
 def test_first_sums_from_zero():

@@ -242,6 +242,23 @@ def test_cli_usage_errors_exit_2(capsys):
         run(["complexity", "--level", "0"])
     assert exc.value.code == 2
     capsys.readouterr()
+    # a range error is reported by the subcommand's own parser
+    with pytest.raises(SystemExit) as exc:
+        run(["complexity", "--max-n", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: phiplane complexity" in err
+    assert "phiplane complexity: error: argument --max-n: must be >= 1" in err
+    assert "renorm" not in err
+    with pytest.raises(SystemExit) as exc:
+        run(["sums", "--max-n", "-1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(["complexity", "--max-n", "abc"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --max-n: invalid int value: 'abc'" in err
     with pytest.raises(SystemExit) as exc:
         run(["translation", "--alpha", "1,2,3"])
     assert exc.value.code == 2

@@ -284,7 +284,7 @@ def test_float_bounds_bracket_value():
 def test_float_keeps_its_digits_on_large_coefficients():
     # phi**-k = F_{-k} phi + F_{-k-1}: A and B*phi cancel, and the plain
     # estimate A/D + (B/D)*phi read 0.0 for phi**-60; phi**k does not
-    # cancel and keeps the estimate
+    # cancel
     for k in range(60, 201):
         want = float(phi_power(k).approx(1200))
         assert abs(float(phi_power(k)) - want) <= 2.0 ** -40 * want
@@ -293,3 +293,10 @@ def test_float_keeps_its_digits_on_large_coefficients():
             want = float(x.approx(1200))
             assert abs(float(x) - want) <= ulp(want), (k, x)
     assert float(phi_power(-60)) == pytest.approx(2.8889603743e-13)
+    # subnormal values with coefficients beyond the double range: A/D
+    # alone overflows, the value does not.  approx(bits) is off by up to
+    # |B| 2**-(bits+2) with |B| up to 2**1041 here, so 2000 bits would not do
+    for k in (-1480, -1500):
+        want = float(phi_power(k).approx(2400))
+        assert 0 < want < 2.0 ** -1022
+        assert abs(float(phi_power(k)) - want) <= ulp(want), k

@@ -242,6 +242,14 @@ def test_prefilter_skips_pairs_on_tower_levels(monkeypatch):
         unfiltered = [t for sa in d1.strips for sb in d2.strips
                       for t in geometry._strip_intersect(sa, sb)]
         assert inter == Region.of(unfiltered)
+        # every strip of d2 taken from every fragment in turn, no box
+        # test; from d1 | d2 it cuts what it leaves whole in d1
+        for a in (d1, Region.of(d1.strips + d2.strips)):
+            pieces = list(a.strips)
+            for sb in d2.strips:
+                pieces = [t for p in pieces
+                          for t in geometry._strip_subtract(p, sb)]
+            assert region_subtract(a, d2) == Region.of(pieces)
         assert inter.area() == 0
         assert diff.area() == d1.area()
 

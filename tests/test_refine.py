@@ -8,8 +8,25 @@ from phiplane.exchange import (Point, build_base_exchange,
 from phiplane.field import ONE, QPhi, ZERO, phi_power
 from phiplane.geometry import region_intersect
 from phiplane.refine import (Cell, chain_language, complexity_table, preimage,
-                             refinement_chain, three_distance_gaps)
+                             refinement_chain)
 from phiplane.words import factors
+
+
+def three_distance_gaps(alpha: QPhi, n: int) -> list[QPhi]:
+    """Sorted gaps of the circle partition by {0, {alpha}, ..., {n*alpha}}.
+
+    Independent one-dimensional oracle: the largest gap bounds the
+    marginal extent of any depth-(n+1) coding cell of the rotation.
+    """
+    pts = [QPhi(0)]
+    x = QPhi(0)
+    for _ in range(n):
+        x = (x + alpha).frac()
+        pts.append(x)
+    pts = sorted(set(pts))
+    gaps = [pts[i + 1] - pts[i] for i in range(len(pts) - 1)]
+    gaps.append(QPhi(1) - pts[-1])
+    return sorted(gaps)
 
 
 @pytest.fixture(scope="module")

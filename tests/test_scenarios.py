@@ -1,6 +1,7 @@
 import random
 import re
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -11,6 +12,19 @@ from phiplane.scenarios import (MeasureSystem, Poly, Scenario, ScenarioError,
                                 detect_dependence, enumerate_scenarios,
                                 scenario_relation, scenario_report,
                                 shift_names, solve_measures)
+
+
+def poly_value(p: Poly, values) -> Fraction:
+    """The number p is when every name has a value."""
+    return Fraction(sum(c * prod(values[n] for n in m)
+                        for m, c in p.terms.items()))
+
+
+def evaluate(rel, shifts, r, s) -> Fraction:
+    """coeff_r*r + coeff_s*s - constant at integer shifts, exactly."""
+    cr, cs, c0 = (poly_value(p, shifts)
+                  for p in (rel.coeff_r, rel.coeff_s, rel.constant))
+    return cr * r + cs * s - c0
 
 
 def test_scenario_counts():
@@ -76,9 +90,9 @@ def test_two_piece_relation_evaluates():
     rel = scenario_relation(enumerate_scenarios(1)[0])
     shifts = {"n1": 0, "n2": 1, "m1": 0, "m2": 1}
     # those shifts force r - s = 0, exactly
-    value = rel.evaluate(shifts, Fraction(3, 10), Fraction(3, 10))
+    value = evaluate(rel, shifts, Fraction(3, 10), Fraction(3, 10))
     assert isinstance(value, Fraction) and value == 0
-    assert rel.evaluate(shifts, Fraction(3, 10), Fraction(1, 2)) == Fraction(-1, 5)
+    assert evaluate(rel, shifts, Fraction(3, 10), Fraction(1, 2)) == Fraction(-1, 5)
 
 
 def test_three_piece_measure_solutions():
@@ -211,13 +225,14 @@ def test_relations_hold_on_measure_solutions(n):
                    for c in "nm" for i in range(1, count + 1)}
             cr, cs, c0 = (_eval_printed(t, env) for t in printed)
             assert (cr, cs, c0) == tuple(
-                p.value(env) for p in (rel.coeff_r, rel.coeff_s, rel.constant))
+                poly_value(p, env)
+                for p in (rel.coeff_r, rel.coeff_s, rel.constant))
             nonzero |= cr != 0 or cs != 0
             for point in points:
                 r = sum(a * env[f"n{src.rstrip('ab')}"] for src, a in point.items())
                 s = sum(a * env[f"m{src.rstrip('ab')}"] for src, a in point.items())
                 assert cr * r + cs * s == c0, sc.name
-                assert rel.evaluate(env, r, s) == 0, sc.name
+                assert evaluate(rel, env, r, s) == 0, sc.name
         assert nonzero, sc.name
 
 
@@ -232,9 +247,9 @@ def test_poly_arithmetic():
     assert Poly().denominator() == 1
     p = x * y * 3 - x + Poly.const(2)
     assert p.subs({"y": 2}) == x * 5 + Poly.const(2)
-    assert p.value({"x": Fraction(1, 3), "y": 2}) == Fraction(11, 3)
+    assert poly_value(p, {"x": Fraction(1, 3), "y": 2}) == Fraction(11, 3)
     with pytest.raises(KeyError):
-        p.value({"x": 1})
+        poly_value(p, {"x": 1})
 
 
 @pytest.mark.parametrize("poly, text", [
