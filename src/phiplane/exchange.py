@@ -14,7 +14,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import TYPE_CHECKING, NamedTuple
 
-from .field import HALF, ONE, PHI, ZERO, QPhi, phi_power
+from .field import HALF, ONE, PHI, ZERO, QPhi, over_one_denominator, phi_power
 from .geometry import (QuadBound, Region, Strip, area_disjoint, is_subset,
                        strips_from_constraints)
 from .words import Word
@@ -87,34 +87,59 @@ class PlaneMap:
         """The image of a region, every strip moved once.
 
         A bound b becomes X -> (s*b + q)(x), x = (X - u)/a: an action on
-        (c2, c1, c0) set up once per call, without its zero terms.  a < 0
-        reverses x-intervals and s < 0 swaps lower and upper bounds,
-        closedness flags included.
+        (c2, c1, c0) set up once per call in integers, so each output
+        coefficient is one element built from integer rows over one
+        denominator.  Bounds and x-ends are moved once per value: a memo,
+        dropped when the call returns, holds them.  a < 0 reverses
+        x-intervals and s < 0 swaps lower and upper bounds, closedness
+        flags included.
         """
-        a, u, s, inv = self.a, self.u, self.s, self.inverse()
-        ai, ui, ai2 = inv.a, inv.u, inv.a * inv.a
-        off = _pullback(self.q, ai, ui)
-        off = [(i, c) for i, c in enumerate((off.c2, off.c1, off.c0)) if c]
-        scaled, moved, flip = a != ONE, bool(u), a.sign() < 0
+        s, q, inv = self.s, self.q, self.inverse()
+        # x = ai*X + ui with ai = (a + a'*phi)/m and ui = (u + u'*phi)/m;
+        # coefficient j of c(ai*X + ui) is the sum of c_i*K[j][i], with
+        # K = ((ai**2,), (2*ai*ui, ai), (ui**2, ui, 1)) as pairs over m**2
+        (a, a_, u, u_), m = over_one_denominator([inv.a, inv.u])
+        K = (((0, (a * a + a_ * a_, 2 * a * a_ + a_ * a_)),),
+             ((0, (2 * (a * u + a_ * u_), 2 * (a * u_ + a_ * u + a_ * u_))),
+              (1, (a * m, a_ * m))),
+             ((0, (u * u + u_ * u_, 2 * u * u_ + u_ * u_)),
+              (1, (u * m, u_ * m)), (2, (m * m, 0))))
+        (xa, xb, ua, ub), Mx = over_one_denominator([self.a, self.u])
+        moved_x: dict[tuple[int, int, int], QPhi] = {}
+        moved_b: dict[tuple, QuadBound] = {}
+
+        def x_end(x: QPhi) -> QPhi:
+            key = x.scaled()
+            y = moved_x.get(key)
+            if y is None:       # a*x + u
+                A, B, X = key
+                y = moved_x[key] = QPhi.from_scaled(
+                    xa * A + xb * B + ua * X, xa * B + xb * (A + B) + ub * X,
+                    X * Mx)
+            return y
 
         def bound(b: QuadBound) -> QuadBound:
-            c2, c1, c0 = b.c2, b.c1, b.c0
-            if moved:           # b(x + ui) = c2 x**2 + (t + m) x + t ui + c0
-                m = c2 * ui
-                t = m + c1
-                c1, c0 = t + m, t * ui + c0
-            if scaled:
-                c2, c1 = c2 * ai2, c1 * ai
-            w = [c2, c1, c0] if s > 0 else [-c2, -c1, -c0]
-            for i, c in off:
-                w[i] = w[i] + c
-            return QuadBound(*w)
+            key = (b.c2.scaled(), b.c1.scaled(), b.c0.scaled())
+            moved = moved_b.get(key)
+            if moved is None:   # the rows of s*b + q, then K
+                r, D = over_one_denominator([b.c2, b.c1, b.c0,
+                                             q.c2, q.c1, q.c0])
+                c = [(s * r[i] + r[i + 6], s * r[i + 1] + r[i + 7])
+                     for i in (0, 2, 4)]
+                coeffs = []
+                for row in K:
+                    A = B = 0
+                    for i, (e, f) in row:       # c_i times (e + f*phi)
+                        g, h = c[i]
+                        A, B = A + g * e + h * f, B + g * f + h * (e + f)
+                    coeffs.append(QPhi.from_scaled(A, B, D * m * m))
+                moved = moved_b[key] = QuadBound(*coeffs)
+            return moved
 
+        flip = self.a.sign() < 0
         out = []
         for st in region.strips:
-            x = (st.x_lo, st.x_hi)
-            x = tuple(a * v for v in x) if scaled else x
-            x = tuple(v + u for v in x) if moved else x
+            x = (x_end(st.x_lo), x_end(st.x_hi))
             y = (bound(st.lower), bound(st.upper))
             fx = (st.lo_closed, st.hi_closed)
             fy = (st.lower_closed, st.upper_closed)

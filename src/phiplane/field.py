@@ -8,7 +8,9 @@ arithmetic is plain integer arithmetic with one gcd per result, and all
 comparisons go through one exact integer sign routine, `sgn_pair`.  The
 fused predicates `cmp(x, y)` (the sign of x - y) and `sgn_affine(d1, d0,
 x)` (the sign of d1*x + d0) evaluate in integers with one `sgn_pair`
-call, building no element and taking no gcd.  The rational coordinates
+call, building no element and taking no gcd; `over_one_denominator`
+hands the kernels of `geometry` and `exchange` the integer rows of
+several elements over one denominator.  The rational coordinates
 a, b of a + b*phi stay available as `Fraction` properties.  Doubles
 serve rendering and display only (`float` is within 1 ulp), and the
 certified bounds of `float_bounds` serve filters; no double decides a
@@ -18,7 +20,7 @@ branch.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, inf, isfinite, isqrt, nextafter
 from typing import Tuple
 
 RationalLike = int | Fraction
@@ -72,6 +74,21 @@ def sgn_affine(d1: "QPhi", d0: "QPhi", x: "QPhi") -> int:
     D = D1 * Dx
     return sgn_pair((A1 * Ax + bb) * D0 + A0 * D,
                     (A1 * Bx + B1 * Ax + bb) * D0 + B0 * D)
+
+
+def over_one_denominator(xs: "list[QPhi]") -> Tuple[list[int], int]:
+    """Integers [A_0, B_0, A_1, B_1, ...] and D > 0, the lcm of the
+    denominators, with x_i = (A_i + B_i*phi)/D: the rows of the
+    scaled-integer kernels in `geometry` and `exchange`."""
+    D = 1
+    for x in xs:
+        if D % x._D:
+            D = D // gcd(D, x._D) * x._D
+    out: list[int] = []
+    for x in xs:
+        m = D // x._D
+        out += x._A * m, x._B * m
+    return out, D
 
 
 _new = object.__new__
@@ -322,19 +339,31 @@ class QPhi:
         return (((2 * A + B) << k) + B * isqrt(5 << 2 * k)) / (D << k + 1)
 
     def float_bounds(self) -> Tuple[float, float]:
-        """Floats lo <= x <= hi around A/D + (B/D)*phi, for certified filters.
+        """Floats lo <= x <= hi, for certified filters.
 
-        The error of that estimate is bounded relative to (|A| + 2|B|)/D,
-        not to |x|, so it grows with the coefficients even when the
-        value is small.  Values beyond the float range give infinities.
+        The estimate A/D + (B/D)*phi errs by at most (|A| + 2|B|)/D *
+        FLOAT_ERR: relative to the coefficients, not to |x|.  Where that
+        is under 2**-20 of the estimate, the estimate widened by it is
+        the answer; otherwise (a small value with large coefficients, or
+        an estimate out of the double range) two ulps either side of
+        `float(x)`, which is within 1 ulp of x.  Values beyond the double
+        range give the largest double and an infinity.
         """
         A, B, D = self._A, self._B, self._D
         try:
             err = (abs(A) + 2 * abs(B)) / D * FLOAT_ERR + _FLOAT_TINY
+            f = A / D + B / D * PHI_FLOAT
         except OverflowError:
-            return float("-inf"), float("inf")
-        f = A / D + B / D * PHI_FLOAT
-        return f - err, f + err
+            err = f = inf
+        if isfinite(f) and err <= abs(f) * 2.0 ** -20:
+            return f - err, f + err
+        try:
+            f = float(self)
+        except OverflowError:
+            big = nextafter(inf, 0)
+            return (big, inf) if self.sign() > 0 else (-inf, -big)
+        lo, hi = nextafter(f, -inf), nextafter(f, inf)
+        return nextafter(lo, -inf), nextafter(hi, inf)
 
     # -- misc ---------------------------------------------------------
 

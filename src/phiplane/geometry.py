@@ -4,12 +4,16 @@ A strip is the set of points between two quadratic graphs over an
 x-interval.  Within one exchange all strip bounds share the same
 leading coefficient, so every bound comparison reduces to an affine
 function with a root in Q(phi); region intersection and subtraction
-split the x-axis at those roots and stay exact.  Comparisons are the
-fused predicates of `field` (`cmp`, `sgn_affine`), decided in integers
-without building the difference, and the active bounds between two
-cuts are read from a table of pairwise signs rather than found by
-evaluating the bounds.  Only values that are stored (roots that become
-cuts, bound values that become extents) are built as elements.
+split the x-axis at those roots and stay exact.  The pair table works
+on integer rows: the bounds' affine coefficients over one denominator
+(`field.over_one_denominator`), each bound's value at the two x-ends
+as an integer pair, and the sign of every pairwise difference there
+as one `sgn_pair`.  The active bounds between two cuts are read from
+that table rather than found by evaluating the bounds, and subtraction
+fills one table for both of its bands.  Strip areas are likewise one
+integer formula over a shared denominator.  Only values that are stored
+(roots that become cuts, areas, bound values that become extents) are
+built as elements, each with one gcd.
 
 Every order is the exact order of Q(phi): strips sort by (x_lo, x_hi),
 and cuts and extremes are compared as elements.  The only doubles are
@@ -29,7 +33,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
-from .field import HALF, QPhi, ZERO, cmp, sgn_affine
+from .field import QPhi, ZERO, cmp, over_one_denominator, sgn_affine, sgn_pair
 
 
 class GeometryError(ValueError):
@@ -69,13 +73,21 @@ class Strip:
     upper_closed: bool = True
 
     def area(self) -> QPhi:
-        # upper - lower is affine: the shared c2 must cancel
-        if cmp(self.upper.c2, self.lower.c2) != 0:
+        """d1*(b**2 - a**2)/2 + d0*(b - a) for upper - lower = d1*x + d0
+        and x from a to b: w*(d1*s + 2*X*d0)/(2*X**2*D) with w = b - a and
+        s = b + a over X, d1 and d0 over D, in integers."""
+        lower, upper = self.lower, self.upper
+        if upper.c2 != lower.c2:   # upper - lower is affine only if c2 cancels
             raise GeometryError("strip bounds do not share a leading coefficient")
-        d1 = self.upper.c1 - self.lower.c1
-        d0 = self.upper.c0 - self.lower.c0
-        a, b = self.x_lo, self.x_hi
-        return d1 * (b * b - a * a) * HALF + d0 * (b - a)
+        (A, B, E, F), X = over_one_denominator([self.x_lo, self.x_hi])
+        (u1, v1, u0, v0, l1, m1, l0, m0), D = over_one_denominator(
+            [upper.c1, upper.c0, lower.c1, lower.c0])
+        p1, q1, p0, q0 = u1 - l1, v1 - m1, u0 - l0, v0 - m0
+        w, x, s, t = E - A, F - B, E + A, F + B
+        g, h = (p1 * s + q1 * t + 2 * X * p0,
+                p1 * t + q1 * (s + t) + 2 * X * q0)
+        return QPhi.from_scaled(w * g + x * h, w * h + x * (g + h),
+                                2 * X * X * D)
 
     @cached_property
     def x_box(self) -> tuple[float, float]:
@@ -218,49 +230,82 @@ def strips_from_constraints(x_lo: QPhi, x_hi: QPhi,
     """
     if cmp(x_hi, x_lo) <= 0:
         return []
-    bounds = [c[0] for c in lowers] + [c[0] for c in uppers]
-    closed = [c[1] for c in lowers] + [c[1] for c in uppers]
-    n, n_lo = len(bounds), len(lowers)
-    sign: dict[tuple[int, int], int] = {}   # (i, j), i < j: sign of b_i - b_j
-    flips: dict[QPhi, list[tuple[int, int]]] = {}   # root -> pairs it flips
+    n_lo, n = len(lowers), len(lowers) + len(uppers)
+    return _bands(x_lo, x_hi, [c[0] for c in (*lowers, *uppers)],
+                  [c[1] for c in (*lowers, *uppers)],
+                  ((range(n_lo), range(n_lo, n)),), lo_closed, hi_closed)
+
+
+def _bands(x_lo: QPhi, x_hi: QPhi, bounds: list[QuadBound],
+           closed: list[bool], bands: Iterable[tuple[Sequence[int], ...]],
+           lo_closed: bool, hi_closed: bool) -> list[Strip]:
+    """The strips of each band (lower indices, upper indices) in turn,
+    each index sequence increasing, from one pair table of `bounds` over
+    x_lo < x_hi; a band cuts only at the roots of its own pairs."""
+    n = len(bounds)
+    c2 = bounds[0].c2
+    for f in bounds:
+        if f.c2 != c2:
+            raise GeometryError(
+                "bound comparison is not affine: level mismatch")
+    # bound k less the shared c2*x**2 is (r[4k] + r[4k+1]*phi)*x + r[4k+2]
+    # + r[4k+3]*phi, over D
+    r, _ = over_one_denominator([c for f in bounds for c in (f.c1, f.c0)])
+    # its values at the ends (A + B*phi)/X and (E + F*phi)/Y, times D*X
+    # and D*Y: the sign of b_i - b_j there is one sgn_pair of differences
+    A, B, X = x_lo.scaled()
+    E, F, Y = x_hi.scaled()
+    at = []
+    for k in range(0, 4 * n, 4):
+        a1, b1, a0, b0 = r[k:k + 4]
+        at.append((a1 * A + b1 * B + a0 * X, a1 * B + b1 * (A + B) + b0 * X,
+                   a1 * E + b1 * F + a0 * Y, a1 * F + b1 * (E + F) + b0 * Y))
+    sign = [0] * (n * n)    # [i*n + j], i < j: the sign of b_i - b_j
+    flips: dict[QPhi, list[int]] = {}   # root -> pairs it flips
     for i in range(n):
-        f = bounds[i]
+        p, q, v, w = at[i]
         for j in range(i + 1, n):
-            g = bounds[j]
-            if cmp(f.c2, g.c2) != 0:
-                raise GeometryError(
-                    "bound comparison is not affine: level mismatch")
-            if f.c1 == g.c1:
-                sign[i, j] = cmp(f.c0, g.c0)
-                continue
-            d1, d0 = f.c1 - g.c1, f.c0 - g.c0
-            s_lo, s_hi = sgn_affine(d1, d0, x_lo), sgn_affine(d1, d0, x_hi)
+            P, Q, V, W = at[j]
+            s_lo, s_hi = sgn_pair(p - P, q - Q), sgn_pair(v - V, w - W)
             if s_lo * s_hi < 0:
-                flips.setdefault(-d0 / d1, []).append((i, j))
-            sign[i, j] = s_lo or s_hi
-    points = [x_lo, *sorted(flips), x_hi]     # every root is inside
+                # the root -d0/d1 of d1*x + d0 = b_i - b_j, through the
+                # conjugate of d1, whose norm is a nonzero integer
+                a1, b1, a0, b0 = (g - h for g, h in
+                                  zip(r[4 * i:4 * i + 4], r[4 * j:4 * j + 4]))
+                root = QPhi.from_scaled(b0 * b1 - a0 * (a1 + b1),
+                                        a0 * b1 - b0 * a1,
+                                        a1 * (a1 + b1) - b1 * b1)
+                flips.setdefault(root, []).append(i * n + j)
+            sign[i * n + j] = s_lo or s_hi
     out: list[Strip] = []
-    last = len(points) - 2
-    for i, (a, b) in enumerate(zip(points, points[1:])):
-        for pair in flips.get(a, ()):
-            sign[pair] = -sign[pair]
-        lo, lo_c = _active(sign, closed, 0, n_lo, -1)
-        up, up_c = _active(sign, closed, n_lo, n, 1)
-        if sign[lo, up] >= 0:
-            continue
-        out.append(Strip(a, b, bounds[lo], bounds[up], i > 0 or lo_closed,
-                         i == last and hi_closed, lo_c, up_c))
+    for lows, ups in bands:
+        own = (*lows, *ups)
+        cuts = sorted(((x, pairs) for x, pairs in flips.items()
+                       if any(k // n in own and k % n in own for k in pairs)),
+                      key=lambda cut: cut[0]) if flips else []
+        band = sign[:] if cuts else sign
+        a = x_lo
+        for i, (b, pairs) in enumerate([*cuts, (x_hi, ())]):
+            lo, lo_c = _active(band, n, closed, lows, -1)
+            up, up_c = _active(band, n, closed, ups, 1)
+            if band[lo * n + up] < 0:
+                out.append(Strip(a, b, bounds[lo], bounds[up],
+                                 i > 0 or lo_closed,
+                                 i == len(cuts) and hi_closed, lo_c, up_c))
+            for k in pairs:     # the signs on the next piece
+                band[k] = -band[k]
+            a = b
     return out
 
 
-def _active(sign: dict[tuple[int, int], int], closed: list[bool],
-            start: int, stop: int, beaten: int) -> tuple[int, bool]:
-    """The first of bounds start..stop-1 that no other one beats, where
-    i beats best when sign[best, i] == beaten, and whether equality is
+def _active(sign: list[int], n: int, closed: list[bool],
+            indices: Sequence[int], beaten: int) -> tuple[int, bool]:
+    """The first of the bounds at `indices` that no other one beats, where
+    i beats best when sign[best*n + i] == beaten, and whether equality is
     allowed: tied bounds allow it only if every one of them does."""
-    best, c = start, closed[start]
-    for i in range(start + 1, stop):
-        s = sign[best, i]
+    best, c = indices[0], closed[indices[0]]
+    for i in indices[1:]:
+        s = sign[best * n + i]
         if s == beaten:
             best, c = i, closed[i]
         elif s == 0:
@@ -289,10 +334,9 @@ def _strip_intersect(a: Strip, b: Strip) -> list[Strip]:
     if ov is None:
         return []
     lo, hi, lo_c, hi_c = ov
-    return strips_from_constraints(
-        lo, hi,
-        [(a.lower, a.lower_closed), (b.lower, b.lower_closed)],
-        [(a.upper, a.upper_closed), (b.upper, b.upper_closed)], lo_c, hi_c)
+    return _bands(lo, hi, [a.lower, b.lower, a.upper, b.upper],
+                  [a.lower_closed, b.lower_closed, a.upper_closed,
+                   b.upper_closed], (((0, 1), (2, 3)),), lo_c, hi_c)
 
 
 def _strip_subtract(a: Strip, b: Strip) -> list[Strip]:
@@ -311,15 +355,11 @@ def _strip_subtract(a: Strip, b: Strip) -> list[Strip]:
         out.append(replace(a, x_lo=hi, lo_closed=not hi_c))
     else:
         hi_c = a.hi_closed
-    out.extend(strips_from_constraints(
-        lo, hi,
-        [(a.lower, a.lower_closed)],
-        [(a.upper, a.upper_closed), (b.lower, not b.lower_closed)],
-        lo_c, hi_c))
-    out.extend(strips_from_constraints(
-        lo, hi,
-        [(a.lower, a.lower_closed), (b.upper, not b.upper_closed)],
-        [(a.upper, a.upper_closed)], lo_c, hi_c))
+    # the bands share one pair table: b's bounds take reversed flags
+    out.extend(_bands(lo, hi, [a.lower, b.upper, a.upper, b.lower],
+                      [a.lower_closed, not b.upper_closed, a.upper_closed,
+                       not b.lower_closed], (((0,), (2, 3)), ((0, 1), (2,))),
+                      lo_c, hi_c))
     return out
 
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import floor, lcm
+from math import lcm
 
 import pytest
 

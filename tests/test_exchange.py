@@ -155,6 +155,71 @@ def test_plane_map_laws(m, n, sp, p):
         assert strip.contains(*q) == img.contains(*m.apply(q)), q
 
 
+def _qphi_image(m: PlaneMap, region: Region) -> Region:
+    """PlaneMap.image with every coefficient an element: each bound b
+    becomes X -> (s*b + q)(x), x = (X - u)/a, through QPhi arithmetic."""
+    inv = m.inverse()
+    ai, ui = inv.a, inv.u
+
+    def pulled(b: QuadBound, s: int) -> list[QPhi]:     # s*b(ai*X + ui)
+        c = (b.c2 * ai * ai, (2 * b.c2 * ui + b.c1) * ai,
+             (b.c2 * ui + b.c1) * ui + b.c0)
+        return [v if s > 0 else -v for v in c]
+
+    def bound(b: QuadBound) -> QuadBound:
+        return QuadBound(*(v + o for v, o in zip(pulled(b, m.s),
+                                                 pulled(m.q, 1))))
+
+    out = []
+    for st_ in region.strips:
+        x = [m.a * st_.x_lo + m.u, m.a * st_.x_hi + m.u]
+        y = [bound(st_.lower), bound(st_.upper)]
+        fx = [st_.lo_closed, st_.hi_closed]
+        fy = [st_.lower_closed, st_.upper_closed]
+        if m.a.sign() < 0:
+            x, fx = x[::-1], fx[::-1]
+        if m.s < 0:
+            y, fy = y[::-1], fy[::-1]
+        out.append(Strip(*x, *y, *fx, *fy))
+    return Region.of(out)
+
+
+# mixed denominators, so a map's rows and a strip's rows share none
+_mixed = st.builds(lambda a, d, b, e: QPhi(Fraction(a, d), Fraction(b, e)),
+                   st.integers(-9, 9), st.sampled_from([1, 2, 3, 5, 12]),
+                   st.integers(-9, 9), st.sampled_from([1, 2, 3, 7]))
+_mixed_bounds = st.builds(QuadBound, _mixed, _mixed, _mixed)
+
+
+@st.composite
+def _mixed_region(draw):
+    """Strips sharing c2 and, often, bounds and x-ends."""
+    c2 = draw(_mixed)
+    bounds = [QuadBound(c2, draw(_mixed), draw(_mixed)) for _ in range(3)]
+    xs = sorted(set(draw(st.lists(_mixed, min_size=2, max_size=5))))
+    strips = [Strip(lo, hi, draw(st.sampled_from(bounds)),
+                    draw(st.sampled_from(bounds)),
+                    *draw(st.tuples(*[st.booleans()] * 4)))
+              for lo, hi in zip(xs, xs[1:])]
+    return Region.of(strips)
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=st.builds(PlaneMap, _mixed.filter(bool), _mixed,
+                   st.sampled_from([1, -1]), _mixed_bounds),
+       region=_mixed_region())
+def test_image_matches_qphi_formulas(m, region):
+    assert m.image(region) == _qphi_image(m, region)
+
+
+def test_image_matches_qphi_formulas_on_the_tower(tower4):
+    renorm = T_PHI @ PSI.inverse()
+    for E in tower4:
+        for p in E.pieces:
+            for m in (renorm, PSI.inverse(), E.branch(p.label).inverse()):
+                assert m.image(p.region) == _qphi_image(m, p.region)
+
+
 def test_psi_and_its_renormalization_composite(tower4):
     assert PSI.inverse().inverse() == PSI
     renorm = T_PHI @ PSI.inverse()

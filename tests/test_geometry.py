@@ -1,4 +1,5 @@
 import functools
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -9,7 +10,7 @@ from phiplane import geometry
 from phiplane.exchange import (exchange_tower, renormalization_checks,
                                 sample_points)
 from phiplane.refine import refinement_chain
-from phiplane.field import PHI, QPhi, ZERO, phi_power
+from phiplane.field import PHI, QPhi, ZERO, cmp, phi_power, sgn_affine
 from phiplane.geometry import (EMPTY_REGION, GeometryError, QuadBound, Region,
                                Strip, area_disjoint, is_subset, merge_strips,
                                region_intersect, region_subtract,
@@ -500,3 +501,156 @@ def test_y_abs_bound_matches_reference(case, i, j):
     s = Strip(x_lo, x_hi, lowers[i % len(lowers)][0],
               uppers[j % len(uppers)][0])
     assert s.y_abs_bound() == _reference_y_abs_bound(s)
+
+
+# -- the scaled-integer kernel against QPhi formulas --------------------
+
+def _qphi_strips(x_lo, x_hi, lowers, uppers, lo_closed=True, hi_closed=False):
+    """strips_from_constraints with every value an element: a table of
+    sgn_affine signs per pair, each root -d0/d1 built by QPhi division."""
+    if cmp(x_hi, x_lo) <= 0:
+        return []
+    bounds = [c[0] for c in lowers] + [c[0] for c in uppers]
+    closed = [c[1] for c in lowers] + [c[1] for c in uppers]
+    n, n_lo = len(bounds), len(lowers)
+    sign, flips = {}, {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            f, g = bounds[i], bounds[j]
+            if cmp(f.c2, g.c2) != 0:
+                raise GeometryError("level mismatch")
+            d1, d0 = f.c1 - g.c1, f.c0 - g.c0
+            s_lo, s_hi = sgn_affine(d1, d0, x_lo), sgn_affine(d1, d0, x_hi)
+            if s_lo * s_hi < 0:
+                flips.setdefault(-d0 / d1, []).append((i, j))
+            sign[i, j] = s_lo or s_hi
+
+    def active(start, stop, beaten):
+        best, c = start, closed[start]
+        for i in range(start + 1, stop):
+            if sign[best, i] == beaten:
+                best, c = i, closed[i]
+            elif sign[best, i] == 0:
+                c = c and closed[i]
+        return best, c
+
+    points = [x_lo, *sorted(flips), x_hi]
+    out = []
+    for i, (a, b) in enumerate(zip(points, points[1:])):
+        for pair in flips.get(a, ()):
+            sign[pair] = -sign[pair]
+        lo, lo_c = active(0, n_lo, -1)
+        up, up_c = active(n_lo, n, 1)
+        if sign[lo, up] < 0:
+            out.append(Strip(a, b, bounds[lo], bounds[up], i > 0 or lo_closed,
+                             i == len(points) - 2 and hi_closed, lo_c, up_c))
+    return out
+
+
+def _qphi_area(s: Strip) -> QPhi:
+    d1, d0 = s.upper.c1 - s.lower.c1, s.upper.c0 - s.lower.c0
+    a, b = s.x_lo, s.x_hi
+    return d1 * (b * b - a * a) * HALF + d0 * (b - a)
+
+
+# values with mixed denominators, so rows and ends do not share one
+_mixed = st.builds(lambda a, d, b, e: Q(Fraction(a, d), Fraction(b, e)),
+                   st.integers(-9, 9), st.sampled_from([1, 2, 3, 5, 12]),
+                   st.integers(-9, 9), st.sampled_from([1, 2, 3, 7]))
+
+
+@st.composite
+def _mixed_constraints(draw):
+    """Bounds sharing c2 with mixed denominators: equal c1 (parallel),
+    coincident, crossing on an end, and unrelated."""
+    c2 = draw(_mixed)
+    x_lo = draw(_mixed)
+    x_hi = x_lo + draw(_mixed.filter(lambda w: w > 0))
+    pool = [QuadBound(c2, draw(_mixed), draw(_mixed))]
+    for _ in range(draw(st.integers(1, 4))):
+        f = draw(st.sampled_from(pool))
+        kind = draw(st.sampled_from(["free", "parallel", "same", "at end"]))
+        if kind == "free":
+            pool.append(QuadBound(c2, draw(_mixed), draw(_mixed)))
+        elif kind == "parallel":
+            pool.append(f.add_affine(ZERO, draw(_mixed)))
+        elif kind == "same":
+            pool.append(QuadBound(f.c2, f.c1, f.c0))
+        else:
+            m, r = draw(_mixed.filter(bool)), draw(st.sampled_from([x_lo, x_hi]))
+            pool.append(f.add_affine(m, -m * r))
+    pick = st.lists(st.tuples(st.sampled_from(pool), st.booleans()),
+                    min_size=1, max_size=3)
+    return (x_lo, x_hi, draw(pick), draw(pick),
+            draw(st.booleans()), draw(st.booleans()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mixed_constraints())
+def test_kernel_matches_qphi_formulas(case):
+    x_lo, x_hi, lowers, uppers, lo_c, hi_c = case
+    got = strips_from_constraints(x_lo, x_hi, lowers, uppers, lo_c, hi_c)
+    want = _qphi_strips(x_lo, x_hi, lowers, uppers, lo_c, hi_c)
+    assert [_strip_tuple(s) for s in got] == [_strip_tuple(s) for s in want]
+    for s in got:
+        assert s.area() == _qphi_area(s)
+
+
+def _qphi_subtract(a: Strip, b: Strip) -> list[Strip]:
+    """_strip_subtract with each band from its own QPhi pair table."""
+    ov = geometry._x_overlap(a, b)
+    if ov is None:
+        return [a]
+    lo, hi, lo_c, hi_c = ov
+    out = []
+    if cmp(lo, a.x_lo) > 0:
+        out.append(replace(a, x_hi=lo, hi_closed=not lo_c))
+    else:
+        lo_c = a.lo_closed
+    if cmp(a.x_hi, hi) > 0:
+        out.append(replace(a, x_lo=hi, lo_closed=not hi_c))
+    else:
+        hi_c = a.hi_closed
+    out += _qphi_strips(lo, hi, [(a.lower, a.lower_closed)],
+                        [(a.upper, a.upper_closed),
+                         (b.lower, not b.lower_closed)], lo_c, hi_c)
+    out += _qphi_strips(lo, hi, [(a.lower, a.lower_closed),
+                                 (b.upper, not b.upper_closed)],
+                        [(a.upper, a.upper_closed)], lo_c, hi_c)
+    return out
+
+
+@st.composite
+def _mixed_strip(draw, c2):
+    x_lo = draw(_mixed)
+    x_hi = x_lo + draw(_mixed.filter(lambda w: w > 0))
+    return Strip(x_lo, x_hi, QuadBound(c2, draw(_mixed), draw(_mixed)),
+                 QuadBound(c2, draw(_mixed), draw(_mixed)),
+                 *draw(st.tuples(*[st.booleans()] * 4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_strip_pair_ops_match_qphi_formulas(data):
+    c2 = data.draw(_mixed)
+    a, b = data.draw(_mixed_strip(c2)), data.draw(_mixed_strip(c2))
+    if data.draw(st.booleans()):    # share a bound with a
+        b = replace(b, lower=a.lower)
+    if data.draw(st.booleans()) and a.x_lo < b.x_hi:    # and an x-end
+        b = replace(b, x_lo=a.x_lo)
+    ov = geometry._x_overlap(a, b)
+    want = [] if ov is None else _qphi_strips(
+        ov[0], ov[1], [(a.lower, a.lower_closed), (b.lower, b.lower_closed)],
+        [(a.upper, a.upper_closed), (b.upper, b.upper_closed)], *ov[2:])
+    got = geometry._strip_intersect(a, b)
+    assert [_strip_tuple(s) for s in got] == [_strip_tuple(s) for s in want]
+    got = geometry._strip_subtract(a, b)
+    want = _qphi_subtract(a, b)
+    assert [_strip_tuple(s) for s in got] == [_strip_tuple(s) for s in want]
+
+
+def test_area_matches_qphi_formula_on_tower_strips():
+    for E in exchange_tower(5):
+        for p in E.pieces:
+            for s in p.region.strips:
+                assert s.area() == _qphi_area(s)

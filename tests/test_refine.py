@@ -1,8 +1,6 @@
-from fractions import Fraction
-
 import pytest
 
-from phiplane.exchange import (Point, build_base_exchange,
+from phiplane.exchange import (build_base_exchange,
                                build_translation_exchange, exchange_tower,
                                sample_points)
 from phiplane.field import ONE, QPhi, ZERO, phi_power
