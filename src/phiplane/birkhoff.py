@@ -12,10 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import lcm
 
-from .field import FLOAT_ERR, HALF, PHI, PHI_FLOAT, QPhi, phi_power, sgn_pair
+from .field import HALF, PHI, QPhi, phi_power, sgn_pair
 
 STEP = phi_power(-2)                 # 1/phi**2 = 2 - phi
 DRIFT = phi_power(-3) * HALF         # 1/(2 phi**3)
+
+# double-precision phi, and the error bound of the estimate A + B*PHI_FLOAT
+# of A + B*phi for integers |A|, |B| < 2**52, which convert exactly: its
+# three roundings (of phi, the product and the sum) err by less than
+# (|A| + 4.3|B|) * 2**-53, within (|A| + 2|B|) * FLOAT_ERR
+PHI_FLOAT = 1.618033988749894848
+FLOAT_ERR = 2.0 ** -50
 
 
 @dataclass(frozen=True)
@@ -64,11 +71,11 @@ def record_maxima(x0: QPhi, N: int) -> list[SumRecord]:
     Every value is a scaled integer pair (A, B) for (A + B*phi)/d.  The
     wrap test f + 1/phi**2 >= 1 and the record test |S_n| > best are
     first decided by the double A + B*PHI_FLOAT, whose error is at most
-    `err` for every pair of the run (bounded from N and the start, as in
-    `QPhi.float_bounds`); a test the estimate leaves within its error
-    goes to the exact `sgn_pair`, and so does every record.  Beyond
-    2**52 integers stop converting to floats exactly, and every test is
-    exact.
+    `err` for every pair of the run (FLOAT_ERR times a bound on
+    |A| + 2|B| from N and the start); a test the estimate leaves within
+    its error goes to the exact `sgn_pair`, and so does every record.
+    Beyond 2**52 integers stop converting to floats exactly, and every
+    test is exact.
     """
     if N < 0:
         raise ValueError("N must be >= 0")

@@ -11,16 +11,15 @@ x)` (the sign of d1*x + d0) evaluate in integers with one `sgn_pair`
 call, building no element and taking no gcd; `over_one_denominator`
 hands the kernels of `geometry` and `exchange` the integer rows of
 several elements over one denominator.  The rational coordinates
-a, b of a + b*phi stay available as `Fraction` properties.  Doubles
-serve rendering and display only (`float` is within 1 ulp), and the
-certified bounds of `float_bounds` serve filters; no double decides a
-branch.
+a, b of a + b*phi stay available as `Fraction` properties.  The one
+double is `float(x)`, within 1 ulp, for rendering and display, and
+`approx` gives oracles a close rational; no double decides a branch.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, inf, isfinite, isqrt, nextafter
+from math import gcd, isqrt
 from typing import Tuple
 
 RationalLike = int | Fraction
@@ -116,14 +115,6 @@ def _reduced(A: int, B: int, D: int) -> "QPhi":
     x._B = B
     x._D = D
     return x
-
-
-# double-precision phi, and the error bound of the estimate
-# A/D + (B/D)*phi relative to (|A| + 2|B|)/D, with slack: 8 * 2**-53
-# covers its five roundings and the two of the widening itself
-PHI_FLOAT = 1.618033988749894848
-FLOAT_ERR = 2.0 ** -50
-_FLOAT_TINY = 1e-300      # absolute slack for subnormal results
 
 
 class QPhi:
@@ -337,33 +328,6 @@ class QPhi:
         A, B, D = self._A, self._B, self._D
         k = 64 + 2 * max(A.bit_length(), B.bit_length())
         return (((2 * A + B) << k) + B * isqrt(5 << 2 * k)) / (D << k + 1)
-
-    def float_bounds(self) -> Tuple[float, float]:
-        """Floats lo <= x <= hi, for certified filters.
-
-        The estimate A/D + (B/D)*phi errs by at most (|A| + 2|B|)/D *
-        FLOAT_ERR: relative to the coefficients, not to |x|.  Where that
-        is under 2**-20 of the estimate, the estimate widened by it is
-        the answer; otherwise (a small value with large coefficients, or
-        an estimate out of the double range) two ulps either side of
-        `float(x)`, which is within 1 ulp of x.  Values beyond the double
-        range give the largest double and an infinity.
-        """
-        A, B, D = self._A, self._B, self._D
-        try:
-            err = (abs(A) + 2 * abs(B)) / D * FLOAT_ERR + _FLOAT_TINY
-            f = A / D + B / D * PHI_FLOAT
-        except OverflowError:
-            err = f = inf
-        if isfinite(f) and err <= abs(f) * 2.0 ** -20:
-            return f - err, f + err
-        try:
-            f = float(self)
-        except OverflowError:
-            big = nextafter(inf, 0)
-            return (big, inf) if self.sign() > 0 else (-inf, -big)
-        lo, hi = nextafter(f, -inf), nextafter(f, inf)
-        return nextafter(lo, -inf), nextafter(hi, inf)
 
     # -- misc ---------------------------------------------------------
 

@@ -15,9 +15,10 @@ integer formula over a shared denominator.  Only values that are stored
 (roots that become cuts, areas, bound values that become extents) are
 built as elements, each with one gcd.
 
-Every order is the exact order of Q(phi): strips sort by (x_lo, x_hi),
-and cuts and extremes are compared as elements.  The only doubles are
-`Strip.x_box`'s certified boxes, which skip surely x-disjoint pairs.
+Every order is the exact order of Q(phi), and no double enters: strips
+sort by (x_lo, x_hi), cuts and extremes are compared as elements, and
+region operations pair each strip of one region only with the window
+of the other's strips that the exact x-ends leave open to it.
 
 Intersection and subtraction keep every closedness flag, so they match
 point membership except on a vertical segment that only a zero-width
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
@@ -88,12 +88,6 @@ class Strip:
                 p1 * t + q1 * (s + t) + 2 * X * q0)
         return QPhi.from_scaled(w * g + x * h, w * h + x * (g + h),
                                 2 * X * X * D)
-
-    @cached_property
-    def x_box(self) -> tuple[float, float]:
-        """Floats certain to enclose [x_lo, x_hi] (`QPhi.float_bounds`),
-        computed once per strip for the region operations' pair filter."""
-        return self.x_lo.float_bounds()[0], self.x_hi.float_bounds()[1]
 
     def x_contains(self, x: QPhi) -> bool:
         s = cmp(x, self.x_lo)
@@ -363,24 +357,22 @@ def _strip_subtract(a: Strip, b: Strip) -> list[Strip]:
     return out
 
 
-def _near(a: Region, b: Region) -> Iterator[tuple[Strip, list[Strip]]]:
-    """Each strip of a with the strips of b, in b's order, whose x-boxes
-    (`Strip.x_box`, floats certain to enclose the x-interval) meet its
-    own.  Every other strip of b is x-disjoint from it: it meets none of
-    its fragments, and leaves each unchanged when subtracted.
+def _near(a: Region, b: Region) -> Iterator[tuple[Strip, Sequence[Strip]]]:
+    """Each strip of a with a window of b's strips, in b's order, outside
+    which every strip of b is x-disjoint from it: it meets none of its
+    fragments, and leaves each unchanged when subtracted.
 
-    Each strip of a scans only a window of b: before it every box ends
-    left of the strip (a prefix maximum of box ends), from its end on
-    every box starts right of it (a suffix minimum of box starts).
+    Before the window every strip of b ends at or left of the strip's
+    x_lo (a prefix maximum of x_hi), from its end on every strip starts
+    at or right of its x_hi (a suffix minimum of x_lo), in the exact
+    order; neither needs b sorted.  `_x_overlap` decides each pair
+    inside the window.
     """
-    boxed = [(sb.x_box, sb) for sb in b.strips]
-    reach = list(accumulate((hi for (_, hi), _ in boxed), max))
-    floor = list(accumulate((lo for (lo, _), _ in reversed(boxed)), min))[::-1]
+    bs = b.strips
+    reach = list(accumulate((s.x_hi for s in bs), max))
+    floor = list(accumulate((s.x_lo for s in reversed(bs)), min))[::-1]
     for sa in a.strips:
-        alo, ahi = sa.x_box
-        yield sa, [sb for (blo, bhi), sb in boxed[bisect_left(reach, alo):
-                                                  bisect_right(floor, ahi)]
-                   if alo <= bhi and blo <= ahi]
+        yield sa, bs[bisect_right(reach, sa.x_lo):bisect_left(floor, sa.x_hi)]
 
 
 def region_intersect(a: Region, b: Region) -> Region:

@@ -92,6 +92,10 @@ def parse_exchange(text: str) -> PieceExchange:
 
     n, (kind, *head) = take("exchange")
     level, count = ints(n, head)
+    if level < 1:
+        raise ParseError(f"line {n}: level must be at least 1")
+    if count < 0:
+        raise ParseError(f"line {n}: negative piece count")
     if kind == "T_phi":
         base = T_PHI
     elif kind == "translation":
@@ -102,7 +106,10 @@ def parse_exchange(text: str) -> PieceExchange:
         raise ParseError(f"line {n}: unknown base kind {kind!r}")
     pieces = []
     for _ in range(count):
-        label, dx, dy, strip_count = ints(*take("piece"))
+        n, tokens = take("piece")
+        label, dx, dy, strip_count = ints(n, tokens)
+        if strip_count < 0:
+            raise ParseError(f"line {n}: negative strip count")
         strips = []
         for _ in range(strip_count):
             n, (flags, *vals) = take("strip")

@@ -84,6 +84,11 @@ def _garbage_cases():
          3, "strip needs x_lo < x_hi"),
         (edit(2, " ".join(strip[:10] + strip[22:34] + strip[10:22])), 3,
          "strip upper bound lies below its lower bound"),
+        ("exchange T_phi -3 -1\n", 1, "level must be at least 1"),
+        (edit(0, "exchange T_phi 0 2"), 1, "level must be at least 1"),
+        (edit(0, "exchange T_phi 1 -1"), 1, "negative piece count"),
+        (edit(1, " ".join(lines[1].split()[:4] + ["-1"])), 2,
+         "negative strip count"),
     ]
 
 

@@ -1,7 +1,9 @@
+import ast
 import functools
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -153,8 +155,8 @@ def test_merge_orders_ends_closer_than_a_double():
 
 def test_no_double_decides_an_order(monkeypatch):
     # the tower with its checks, a refinement and an orbit through the
-    # jump table touch geometry, exchange, refine and fastorbit; only
-    # the certified `float_bounds` filters may use doubles
+    # jump table touch geometry, exchange, refine and fastorbit, none of
+    # which may convert an element to a double
     def no_float(self):
         raise AssertionError(f"float({self!r})")
     monkeypatch.setattr(QPhi, "__float__", no_float)
@@ -165,6 +167,21 @@ def test_no_double_decides_an_order(monkeypatch):
     assert len(refinement_chain(E1, 10)[-1]) == 61
     p = sample_points(E1, 1, seed=3)[0]
     assert len(E1.compiled.code_orbit(p, 20000)) == 20000
+
+
+@pytest.mark.parametrize("name", ["geometry", "exchange", "refine",
+                                  "fastorbit", "words"])
+def test_exact_modules_hold_no_double(name):
+    # no floating point decides a predicate: these modules name no float,
+    # write no float literal and ask no element for a double
+    path = Path(geometry.__file__).with_name(f"{name}.py")
+    for node in ast.walk(ast.parse(path.read_text())):
+        assert not (isinstance(node, ast.Name) and node.id == "float"), \
+            node.lineno
+        assert not (isinstance(node, ast.Constant)
+                    and isinstance(node.value, float)), node.lineno
+        assert not (isinstance(node, ast.Attribute) and node.attr in
+                    ("float_bounds", "__float__")), node.lineno
 
 
 def test_merge_drops_empty():
@@ -194,7 +211,7 @@ def test_quadratic_strip_subtraction_exact_area():
     assert inter.area() == 2
 
 
-# -- the float prefilter of region_intersect / region_subtract ----------
+# -- the pair window of region_intersect / region_subtract -------------
 
 @pytest.mark.parametrize("x", [HALF, Q(Fraction(33, 97))])
 def test_deep_overlap_is_not_filtered_out(x):
@@ -226,6 +243,43 @@ def _counting(monkeypatch, name):
         return real(a, b)
     monkeypatch.setattr(geometry, name, counted)
     return calls
+
+
+@pytest.mark.parametrize("a, b", [
+    (rect(0, 1, 0, 1), rect(1, 2, 0, 1)),                  # they touch
+    # x-disjoint, with ends that are one double
+    (Strip(ZERO, HALF + phi_power(-80), const(0), const(1)),
+     Strip(HALF + 2 * phi_power(-80), Q(1), const(0), const(1)))],
+    ids=["touching", "one_double_apart"])
+def test_window_leaves_out_pairs_that_do_not_overlap(monkeypatch, a, b):
+    inter_calls = _counting(monkeypatch, "_strip_intersect")
+    sub_calls = _counting(monkeypatch, "_strip_subtract")
+    for x, y in [(a, b), (b, a)]:
+        rx, ry = Region.of([x]), Region.of([y])
+        assert region_intersect(rx, ry) == EMPTY_REGION
+        assert region_subtract(rx, ry) == rx
+    assert inter_calls == [] and sub_calls == []
+
+
+def test_window_keeps_every_overlap_of_unsorted_regions():
+    # x-ranges nest and cross, and Region() keeps the order it is given,
+    # as a parsed region does: neither x_lo nor x_hi runs in order
+    third = Fraction(1, 3)
+    b_strips = [rect(0, 3, 0, 1), rect(1, 2, 2, 3), rect(5 * third, 4, 4, 5),
+                rect(-1, third, 6, 7)]
+    a = Region.of([rect(7 * third, 8 * third, 0, 8),
+                   rect(-third, 4 * third, 0, 8)])
+    for order in permutations(b_strips):
+        b = Region(order)
+        assert region_intersect(a, b) == Region.of(
+            [t for sa in a.strips for sb in order
+             for t in geometry._strip_intersect(sa, sb)]), order
+        pieces = list(a.strips)
+        for sb in order:
+            pieces = [t for p in pieces
+                      for t in geometry._strip_subtract(p, sb)]
+        assert region_subtract(a, b) == Region.of(pieces), order
+        assert region_intersect(a, b).area() == 3
 
 
 def test_prefilter_skips_pairs_on_tower_levels(monkeypatch):
