@@ -1,28 +1,26 @@
 """Exact ergodic sums S_n = sum_{k=0}^{n} ({x0 + k/phi**2} - 1/2).
 
 The fractional parts are tracked incrementally: the step 1/phi**2 lies
-in (0, 1), so each update either stays below 1 or wraps once.  A scaled
-integer fast path, whose tests a certified double-precision estimate
-decides unless it is too close to call, keeps million-term runs cheap.
-The tests check it against a direct evaluation, one exact floor per term.
+in (0, 1), so each update either stays below 1 or wraps once.
+`birkhoff_sum` and `sums_csv` carry S_n exactly, as the integer pair of
+S_n * d.  `record_maxima` carries one scaled integer instead: with
+one = 2**k, g = floor({x0}*one) - one/2 and step = floor(one/phi**2),
+each term adds step to g (less one at a wrap) and g to the sum s.  Each
+floor loses less than 1, so after n terms g lies below (f_n - 1/2)*one
+by less than n + 1, and s below S_n*one by less than (n+1)(n+2)/2; only
+the wrap and record tests these slacks leave open go to `sgn_pair`, on
+the exact pair.  The tests check it against a loop with every test exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import isqrt, lcm
 
 from .field import HALF, PHI, QPhi, phi_power, sgn_pair
 
 STEP = phi_power(-2)                 # 1/phi**2 = 2 - phi
 DRIFT = phi_power(-3) * HALF         # 1/(2 phi**3)
-
-# double-precision phi, and the error bound of the estimate A + B*PHI_FLOAT
-# of A + B*phi for integers |A|, |B| < 2**52, which convert exactly: its
-# three roundings (of phi, the product and the sum) err by less than
-# (|A| + 4.3|B|) * 2**-53, within (|A| + 2|B|) * FLOAT_ERR
-PHI_FLOAT = 1.618033988749894848
-FLOAT_ERR = 2.0 ** -50
 
 
 @dataclass(frozen=True)
@@ -65,58 +63,74 @@ def birkhoff_sum(x0: QPhi, n: int) -> QPhi:
     return QPhi.from_scaled(sa, sb, d)
 
 
+def _scaled_start(fa: int, fb: int, d: int, N: int) -> tuple[int, int, int]:
+    """(one, step, g) for N terms from {x0} = (fa + fb*phi)/d: one = 2**k,
+    step = floor(one/phi**2) and g = floor({x0}*one) - one/2.
+
+    k = 2*bitlen(N + 2) + 40 puts the run's slack, below (N + 2)**2 / 2,
+    under one * 2**-41, so a term reaches `sgn_pair` only when it is that
+    close to a wrap or a record.
+    """
+    k = 2 * (N + 2).bit_length() + 40
+    one = 1 << k
+    # one/phi**2 = 2*one - one*phi is irrational, so its floor is
+    # 2*one - floor(one*phi) - 1, with floor(one*phi) from isqrt(5*one**2)
+    step = 2 * one - ((one + isqrt(5 << 2 * k)) >> 1) - 1
+    g = QPhi.from_scaled(fa * one, fb * one, d).floor_frac()[0] - one // 2
+    return one, step, g
+
+
 def record_maxima(x0: QPhi, N: int) -> list[SumRecord]:
     """All n <= N where |S_n| strictly exceeds every earlier |S_j|.
 
-    Every value is a scaled integer pair (A, B) for (A + B*phi)/d.  The
-    wrap test f + 1/phi**2 >= 1 and the record test |S_n| > best are
-    first decided by the double A + B*PHI_FLOAT, whose error is at most
-    `err` for every pair of the run (FLOAT_ERR times a bound on
-    |A| + 2|B| from N and the start); a test the estimate leaves within
-    its error goes to the exact `sgn_pair`, and so does every record.
-    Beyond 2**52 integers stop converting to floats exactly, and every
-    test is exact.
+    One loop over the scaled integers of `_scaled_start`: each term adds
+    step to g, less one at a wrap, and g to s.  The start and the step
+    are floors, each below its value by less than 1, and a wrap takes off
+    exactly one, so after n <= N terms
+
+        0 <= (f_n - 1/2)*one - g < n + 1 <= N + 1,
+        0 <= S_n*one - s < (n+1)(n+2)/2 <= spread = (N+1)(N+2)/2.
+
+    A term therefore wraps when g + step >= one/2 and cannot wrap when
+    g + step < one/2 - N - 1; in between, `sgn_pair` decides on the exact
+    pair of f + 1/phi**2 - 1, (fa + d(2n - W - 1), fb - dn) after W wraps.
+    With B = |s| - spread at the last record (0 before the first), a lower
+    bound on the best |S_j|*one, no s with -B <= s <= B - spread is a
+    record.  Any other term goes to the exact test, on the pair of S_n*d
+    rebuilt from n, W and the sum C of the wrap indices.
     """
     if N < 0:
         raise ValueError("N must be >= 0")
     fa, fb, d = _start(x0)
     half = d // 2
-    step_a, step_b = 2 * d, -d
-    sa, sb = fa - half, fb          # running sum, scaled by d
+    one, step, g = _scaled_start(fa, fb, d, N)
+    edge = one // 2
+    near = edge - N - 1
+    spread = (N + 1) * (N + 2) // 2
+    g -= step                   # term 0 adds it back, and f_0 < 1 never wraps
+    s = W = C = 0
+    low, top = 0, -spread       # B = 0 before the first record: no window
     best_a, best_b = 0, 0
     out: list[SumRecord] = []
-
-    # |fb| grows by d a term; 0 <= f < 2 before a wrap keeps |fa - d|
-    # within 2|fb| + 3d; the sums add N + 1 such terms
-    top_b = abs(fb) + N * d
-    top_a = 2 * top_b + 3 * d
-    fast = (N + 1) * (top_a + top_b) < 2 ** 52
-    err = (N + 1) * (top_a + 2 * top_b) * FLOAT_ERR if fast else 0.0
-    floor = -2 * err                # |S_n| at or below it is no record
-
     for n in range(N + 1):
-        if n > 0:
-            fa += step_a
-            fb += step_b
-            if fast:
-                t = fa - d + fb * PHI_FLOAT
-                wrap = t > err or (t >= -err and sgn_pair(fa - d, fb) >= 0)
-            else:
-                wrap = sgn_pair(fa - d, fb) >= 0
-            if wrap:
-                fa -= d
-            sa += fa - half
-            sb += fb
-        if fast:
-            t = sa + sb * PHI_FLOAT
-            if -floor <= t <= floor:
-                continue
+        g += step
+        if g >= near and (g >= edge or
+                          sgn_pair(fa + d * (2 * n - W - 1), fb - d * n) >= 0):
+            g -= one
+            W += 1
+            C += n
+        s += g
+        if low <= s <= top:
+            continue
+        m = n * (n + 1)
+        sa = (n + 1) * (fa - half) + d * (m - W * (n + 1) + C)
+        sb = (n + 1) * fb - half * m
         aa, ab = (sa, sb) if sgn_pair(sa, sb) >= 0 else (-sa, -sb)
         if sgn_pair(aa - best_a, ab - best_b) > 0:
             best_a, best_b = aa, ab
             out.append(SumRecord(n, QPhi.from_scaled(sa, sb, d)))
-            if fast:
-                floor = abs(t) - 2 * err
+            B = abs(s) - spread
+            low, top = -B, B - spread
     return out
 
 

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 
 import pytest
 
@@ -222,18 +222,18 @@ def test_no_tie_no_zero_pair(monkeypatch):
     assert len(seen) < 200
 
 
-@pytest.mark.parametrize("x0, exact_only", [
-    (QPhi(Fraction(-7, 3), Fraction(5, 11)), False),
-    (QPhi(Fraction(-2 ** 61 - 1, 3), Fraction(2 ** 60, 7)), True),
-    (QPhi(Fraction(1, 2 ** 50 + 3), Fraction(-1, 2 ** 47 + 1)), True),
-    (QPhi(Fraction(3 ** 700, 2 ** 1100), Fraction(-(5 ** 400), 3 ** 500)),
-     True),
-], ids=["negative", "large", "large denominators", "beyond floats"])
-def test_negative_and_large_starts(monkeypatch, x0, exact_only):
+LARGE_STARTS = [
+    QPhi(Fraction(-7, 3), Fraction(5, 11)),
+    QPhi(Fraction(-2 ** 61 - 1, 3), Fraction(2 ** 60, 7)),
+    QPhi(Fraction(1, 2 ** 50 + 3), Fraction(-1, 2 ** 47 + 1)),
+    QPhi(Fraction(3 ** 700, 2 ** 1100), Fraction(-(5 ** 400), 3 ** 500)),
+]
+
+
+@pytest.mark.parametrize("x0", LARGE_STARTS, ids=[
+    "negative", "large", "large denominators", "beyond floats"])
+def test_negative_and_large_starts(x0):
     want = _records_exact(x0, 3000)
-    if exact_only:
-        # beyond 2**52 no float may enter: PHI_FLOAT = None fails any estimate
-        monkeypatch.setattr(birkhoff, "PHI_FLOAT", None)
     assert record_maxima(x0, 3000) == want
 
 
@@ -245,3 +245,78 @@ def test_filter_matches_exact_loop_up_to_2e4():
         for _ in range(4)]
     for x0 in starts:
         assert record_maxima(x0, 20_000) == _records_exact(x0, 20_000)
+
+
+# -- the scaled state's slack, exactly -----------------------------------
+
+THIRD = QPhi(Fraction(1, 3))
+RECORD_TIE = HALF - STEP * THIRD        # S_1 = -S_0
+# S_2220 = -S_1064, and S_1064 < 0 is the last record before n = 2220:
+# a tie between sums of opposite signs, late in the run
+LATE_TIE = QPhi(Fraction(-4903207, 3286), Fraction(1515945, 1643))
+SLACK_STARTS = {
+    "plain": [ZERO, HALF, PHI],
+    "wrap ties": [(phi_power(-1) - k * STEP).frac()
+                  for k in (0, 1, 5, 40, 377)],
+    "record tie": [RECORD_TIE],
+    "near record ties": [RECORD_TIE + sign * phi_power(-k) * THIRD
+                         for k in range(50, 80) for sign in (1, -1)],
+    "large": LARGE_STARTS,
+}
+
+
+@pytest.mark.parametrize("family", list(SLACK_STARTS))
+def test_scaled_state_stays_within_its_slack(family):
+    # walk the scaled state of record_maxima with every wrap exact, and
+    # check after each term n that g and s lie below their true values
+    # by less than n + 1 and (n+1)(n+2)/2
+    N = 3000
+    for x0 in SLACK_STARTS[family]:
+        fa, fb, d = birkhoff._start(x0)
+        one, step, g = birkhoff._scaled_start(fa, fb, d, N)
+        assert step == floor(STEP * one)
+        s = 0
+        pa = pb = 0                 # S_{n-1} * d
+        ua = ub = None              # (f_{n-1} - 1/2) * d
+        for n, (sa, sb) in enumerate(birkhoff._sums(fa, fb, d, N)):
+            va, vb = sa - pa, sb - pb
+            if n:
+                g += step
+                if sgn_pair(va - ua, vb - ub) < 0:     # f fell: a wrap
+                    g -= one
+            s += g
+            slack = (n + 1) * (n + 2) // 2
+            assert sgn_pair(va * one - g * d, vb * one) >= 0
+            assert sgn_pair(va * one - (g + n + 1) * d, vb * one) < 0
+            assert sgn_pair(sa * one - s * d, sb * one) >= 0
+            assert sgn_pair(sa * one - (s + slack) * d, sb * one) < 0
+            pa, pb, ua, ub = sa, sb, va, vb
+        assert QPhi.from_scaled(sa, sb, d) == birkhoff_sum(x0, N)
+        for n in (0, 1, 2, 3, 10, N):
+            assert record_maxima(x0, n) == _records_exact(x0, n), n
+
+
+def test_tie_starts_tie():
+    assert birkhoff_sum(RECORD_TIE, 1) == -birkhoff_sum(RECORD_TIE, 0)
+    assert 1 not in [r.n for r in record_maxima(RECORD_TIE, 10)]
+    assert birkhoff_sum(LATE_TIE, 2220) == -birkhoff_sum(LATE_TIE, 1064)
+    assert record_maxima(LATE_TIE, 2220)[-1].n == 1064
+
+
+@pytest.mark.parametrize("one", [2, 34, 2 ** 20, 1134903170,
+                                 12200160415121876738])
+def test_records_exact_at_a_coarse_scale(monkeypatch, one):
+    # the loop is exact at any even scale.  34, 1134903170 and
+    # 12200160415121876738 are the Fibonacci numbers F_9, F_45 and F_93:
+    # one/phi**2 lies just below an integer, so g loses almost 1 a term
+    # and s almost (n+1)(n+2)/2 by n, and just past the late tie n = 2220
+    # is a record that only the window's second `spread` lets through
+    def coarse(fa, fb, d, N):
+        f = QPhi.from_scaled(fa, fb, d)
+        return one, floor(STEP * one), floor(f * one) - one // 2
+    monkeypatch.setattr(birkhoff, "_scaled_start", coarse)
+    for family in SLACK_STARTS.values():
+        for x0 in family:
+            assert record_maxima(x0, 600) == _records_exact(x0, 600)
+    for x0 in (LATE_TIE, LATE_TIE + phi_power(-40), LATE_TIE + phi_power(-90)):
+        assert record_maxima(x0, 2220) == _records_exact(x0, 2220)

@@ -8,13 +8,12 @@ from hypothesis import given, settings, strategies as st
 from phiplane.exchange import (INV_PHI2, PAPER_STATED_Z, PSI, T_PHI,
                                T_PHI_DRIFT, BoundaryError, ExchangeError,
                                OutsideDomainError, PieceExchange, PlaneMap,
-                               Point, apply_T_phi, build_base_exchange,
+                               Point, build_base_exchange,
                                build_translation_exchange,
                                check_projection_witness, exchange_tower,
-                               projection_witness, psi_inverse,
-                               rational_dependence, renormalization_checks,
-                               renormalize, sample_points, strip_midpoint,
-                               translation)
+                               projection_witness, rational_dependence,
+                               renormalization_checks, renormalize,
+                               sample_points, strip_midpoint, translation)
 from phiplane import fastorbit
 from phiplane.fastorbit import CompiledExchange
 from phiplane.field import HALF, ONE, PHI, QPhi, ZERO, phi_power, sgn_pair
@@ -40,7 +39,7 @@ def test_constants():
 
 def test_T_phi_is_a_shear_plus_translation():
     p = Point(QPhi(1), QPhi(2))
-    q = apply_T_phi(p)
+    q = T_PHI.apply(p)
     assert q.x == p.x + INV_PHI2
     assert q.y == p.y + p.x + T_PHI_DRIFT
     assert T_PHI == PlaneMap(ONE, INV_PHI2, 1,
@@ -59,9 +58,9 @@ def test_base_map_inverse_round_trip(base_map):
 
 def test_psi_inverse_inverts_psi():
     p = Point(QPhi(Fraction(1, 3), Fraction(-2, 5)), QPhi(Fraction(7, 4)))
-    assert PSI.apply(psi_inverse(p)) == p
-    assert psi_inverse(PSI.apply(p)) == p
-    q = psi_inverse(Point(QPhi(1), QPhi(0)))
+    assert PSI.apply(PSI.inverse().apply(p)) == p
+    assert PSI.inverse().apply(PSI.apply(p)) == p
+    q = PSI.inverse().apply(Point(QPhi(1), QPhi(0)))
     assert q.x == -phi_power(-1)
     assert q.y == -phi_power(-3) * HALF
 
@@ -97,15 +96,15 @@ def test_strip_transport_matches_point_maps(base):
         rev = PSI.inverse().image(Region((s,)))
         for p in pts:
             if s.contains(p.x, p.y):
-                q = apply_T_phi(p)
+                q = T_PHI.apply(p)
                 assert img.contains(q.x, q.y)
-                q = psi_inverse(p)
+                q = PSI.inverse().apply(p)
                 assert rev.contains(q.x, q.y)
 
 
 def test_branch_is_T_minus_shift(base):
     for p in sample_points(base, 4, seed=3):
-        t = apply_T_phi(p)
+        t = T_PHI.apply(p)
         assert base.branch(1).apply(p) == t
         assert base.branch(2).apply(p) == Point(t.x - 1, t.y)
     with pytest.raises(ExchangeError):
@@ -224,7 +223,7 @@ def test_psi_and_its_renormalization_composite(tower4):
     assert PSI.inverse().inverse() == PSI
     renorm = T_PHI @ PSI.inverse()
     p = Point(QPhi(Fraction(1, 3), Fraction(-2, 5)), QPhi(Fraction(7, 4)))
-    assert renorm.apply(p) == apply_T_phi(psi_inverse(p))
+    assert renorm.apply(p) == T_PHI.apply(PSI.inverse().apply(p))
     # one transport by the composite is the two transports, exactly
     for piece in tower4[2].pieces:
         assert renorm.image(piece.region) == \

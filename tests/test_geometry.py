@@ -170,7 +170,7 @@ def test_no_double_decides_an_order(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["geometry", "exchange", "refine",
-                                  "fastorbit", "words"])
+                                  "fastorbit", "words", "birkhoff"])
 def test_exact_modules_hold_no_double(name):
     # no floating point decides a predicate: these modules name no float,
     # write no float literal and ask no element for a double
