@@ -18,7 +18,7 @@ from .exchange import (PAPER_STATED_Z, PieceExchange, build_base_exchange,
                        build_translation_exchange, check_projection_witness,
                        projection_witness, renormalization_checks,
                        renormalize, sample_points)
-from .field import PHI, QPhi, ZERO, phi_power
+from .field import PHI, QPhi, ZERO, phi_power, sgn_pair
 from .refine import chain_language, complexity_table, refinement_chain
 
 
@@ -58,7 +58,7 @@ def check_field_axioms() -> tuple[bool, str]:
         if abs(f) > 1e-6 and a.sign() != (1 if f > 0 else -1):
             return False, f"sign disagrees with float at trial {i}"
         n, r = a.floor_frac()
-        if a != r + n or r.sign() < 0 or (r - 1).sign() >= 0:
+        if a != r + n or r.sign() < 0 or r >= 1:
             return False, f"floor identity fails at trial {i}"
     return True, f"{count} randomized trials"
 
@@ -212,9 +212,9 @@ def check_halmos_diagnostics() -> tuple[bool, str]:
     areas = [max(c.cell_area for c in cells)
              for cells in refinement_chain(E, depth)]
     for a, b in zip(areas, areas[1:]):
-        if (b - a).sign() > 0:
+        if b > a:
             return False, "max cell area increased"
-    if (areas[-1] - areas[0]).sign() >= 0:
+    if areas[-1] >= areas[0]:
         return False, f"no strict decrease from n=1 to n={depth}"
     pts = sample_points(E, 2 * pairs, seed=8)
     stepper = E.compiled
@@ -234,9 +234,28 @@ def check_halmos_diagnostics() -> tuple[bool, str]:
                   f"{pairs} pairs separate, worst at step {worst}")
 
 
+def _exact_records(x0: QPhi, N: int) -> list[birkhoff.SumRecord]:
+    """The records of |S_n| for n <= N, as a running maximum over the
+    exact pairs of `birkhoff._sums`, every wrap decided by `sgn_pair`."""
+    fa, fb, d = birkhoff._start(x0)
+    best_a, best_b = 0, 0
+    out = []
+    for n, (sa, sb) in enumerate(birkhoff._sums(fa, fb, d, N)):
+        aa, ab = (sa, sb) if sgn_pair(sa, sb) >= 0 else (-sa, -sb)
+        if sgn_pair(aa - best_a, ab - best_b) > 0:
+            best_a, best_b = aa, ab
+            out.append(birkhoff.SumRecord(n, QPhi.from_scaled(sa, sb, d)))
+    return out
+
+
 def check_unboundedness_evidence() -> tuple[bool, str]:
-    """Record growth of |S_n| and growing vertical extent of the domains."""
+    """Exact records of |S_n|, their growth, and growing vertical extent
+    of the domains."""
     tower_levels = 20
+    # phi's first step lands exactly on a wrap: {phi + 1/phi**2} = 1
+    for x0 in (ZERO, PHI):
+        if birkhoff.record_maxima(x0, 20_000) != _exact_records(x0, 20_000):
+            return False, f"records of {x0} differ from the exact sums"
     rng = random.Random(9)
     x0s = [QPhi(0)] + [_random_qphi(rng, 16) for _ in range(5)]
     decades = (100, 1000, 10_000, 100_000)
@@ -246,14 +265,14 @@ def check_unboundedness_evidence() -> tuple[bool, str]:
         for N in decades:
             # max |S_n| over n <= N: the last record by N
             cur = abs([r for r in records if r.n <= N][-1].value)
-            if prev is not None and (cur - prev).sign() <= 0:
+            if prev is not None and cur <= prev:
                 return False, f"no new |S_n| record in decade {N} for {x0}"
             prev = cur
     tower = _tower(tower_levels)
     extents = [max(p.region.y_extent_bound() for p in E.pieces)
                for E in tower]
     for a, b in zip(extents, extents[1:]):
-        if (b - a).sign() <= 0:
+        if b <= a:
             return False, "y extent did not increase with the level"
     return True, (f"records grow across decades for {len(x0s)} starts; "
                   f"y extent {float(extents[0]):.3f} -> "

@@ -17,10 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt, lcm
 
-from .field import HALF, PHI, QPhi, phi_power, sgn_pair
-
-STEP = phi_power(-2)                 # 1/phi**2 = 2 - phi
-DRIFT = phi_power(-3) * HALF         # 1/(2 phi**3)
+from .field import PHI, QPhi, sgn_pair
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import TYPE_CHECKING, NamedTuple
 
-from .field import HALF, ONE, PHI, ZERO, QPhi, over_one_denominator, phi_power
+from .field import HALF, ONE, PHI, ZERO, QPhi, cmp, over_one_denominator, phi_power
 from .geometry import (QuadBound, Region, Strip, area_disjoint, is_subset,
                        strips_from_constraints)
 from .words import Word
@@ -303,24 +303,21 @@ PAPER_STATED_Z = phi_power(-1) * HALF + phi_power(-3) * HALF
 
 def check_projection_witness(exchange: PieceExchange, z: QPhi) -> list[str]:
     """Violated projection conditions for a candidate witness, if any."""
-    d1 = exchange.piece(1).region
-    d2 = exchange.piece(2).region
     bad: list[str] = []
-    lo1, hi1 = d1.x_extent()
-    lo2, hi2 = d2.x_extent()
-    # p(D1) subset ]z-1, z+1/phi**2]: left end open, right closed
-    if (lo1 - (z - ONE)).sign() < 0 or \
-            ((lo1 - (z - ONE)).sign() == 0 and d1.slice_nonempty_at(lo1)):
-        bad.append("p(D1) reaches z-1")
-    if (hi1 - (z + INV_PHI2)).sign() > 0:
-        bad.append("p(D1) exceeds z+1/phi^2")
-    # p(D2) subset ]z-1/phi**2, z+1/phi**2[: both ends open
-    if (lo2 - (z - INV_PHI2)).sign() < 0 or \
-            ((lo2 - (z - INV_PHI2)).sign() == 0 and d2.slice_nonempty_at(lo2)):
-        bad.append("p(D2) reaches z-1/phi^2")
-    if (hi2 - (z + INV_PHI2)).sign() > 0 or \
-            ((hi2 - (z + INV_PHI2)).sign() == 0 and d2.slice_nonempty_at(hi2)):
-        bad.append("p(D2) reaches z+1/phi^2")
+    # p(D1) in ]z-1, z+1/phi**2] and p(D2) in ]z-1/phi**2, z+1/phi**2[;
+    # an end on an open bound fails where its slice is not empty
+    for label, gap, hi_open, lo_msg, hi_msg in (
+            (1, ONE, False, "p(D1) reaches z-1", "p(D1) exceeds z+1/phi^2"),
+            (2, INV_PHI2, True,
+             "p(D2) reaches z-1/phi^2", "p(D2) reaches z+1/phi^2")):
+        region = exchange.piece(label).region
+        lo, hi = region.x_extent()
+        c = cmp(lo, z - gap)
+        if c < 0 or c == 0 and region.slice_nonempty_at(lo):
+            bad.append(lo_msg)
+        c = cmp(hi, z + INV_PHI2)
+        if c > 0 or c == 0 and hi_open and region.slice_nonempty_at(hi):
+            bad.append(hi_msg)
     return bad
 
 

@@ -194,16 +194,7 @@ class QPhi:
     __radd__ = __add__
 
     def __sub__(self, other: "QPhi | RationalLike") -> "QPhi":
-        A, B, D = self._A, self._B, self._D
-        if other.__class__ is int:
-            return _raw(A - other * D, B, D)
-        o = other if other.__class__ is QPhi else QPhi.coerce(other)
-        D2 = o._D
-        if D == D2:
-            return _reduced(A - o._A, B - o._B, D)
-        g = gcd(D, D2)
-        m, m2 = D2 // g, D // g
-        return _reduced(A * m - o._A * m2, B * m - o._B * m2, D * m)
+        return self + -other
 
     def __rsub__(self, other: "QPhi | RationalLike") -> "QPhi":
         return QPhi.coerce(other) - self
@@ -261,24 +252,16 @@ class QPhi:
         return hash((self._A, self._B, self._D))
 
     def __lt__(self, other: "QPhi | RationalLike") -> bool:
-        if other.__class__ is QPhi:
-            return cmp(self, other) < 0
-        return (self - other).sign() < 0
+        return cmp(self, other if other.__class__ is QPhi else QPhi(other)) < 0
 
     def __le__(self, other: "QPhi | RationalLike") -> bool:
-        if other.__class__ is QPhi:
-            return cmp(self, other) <= 0
-        return (self - other).sign() <= 0
+        return cmp(self, other if other.__class__ is QPhi else QPhi(other)) <= 0
 
     def __gt__(self, other: "QPhi | RationalLike") -> bool:
-        if other.__class__ is QPhi:
-            return cmp(self, other) > 0
-        return (self - other).sign() > 0
+        return cmp(self, other if other.__class__ is QPhi else QPhi(other)) > 0
 
     def __ge__(self, other: "QPhi | RationalLike") -> bool:
-        if other.__class__ is QPhi:
-            return cmp(self, other) >= 0
-        return (self - other).sign() >= 0
+        return cmp(self, other if other.__class__ is QPhi else QPhi(other)) >= 0
 
     def __abs__(self) -> "QPhi":
         return -self if self.sign() < 0 else self

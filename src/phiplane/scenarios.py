@@ -319,9 +319,7 @@ def enumerate_scenarios(n: int) -> list[Scenario]:
         if 2 * k + 1 < m:
             tr.append((str(2 * k + 1), 2 * k + 2))
             tr += [(str(i), i + 1) for i in range(2 * k + 2, m)]
-            tr.append((str(m), 1))
-        else:
-            tr.append((str(m), 1))
+        tr.append((str(m), 1))
         out.append(Scenario(f"short cycle back, k={k}", m, 1, dict(tr)))
     return out
 

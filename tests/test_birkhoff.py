@@ -5,10 +5,11 @@ from math import floor, lcm
 import pytest
 
 from phiplane import birkhoff
-from phiplane.birkhoff import (DRIFT, STEP, SumRecord, birkhoff_sum,
-                               record_maxima, sums_csv)
+from phiplane.birkhoff import SumRecord, birkhoff_sum, record_maxima, sums_csv
+from phiplane.exchange import INV_PHI2 as STEP, T_PHI_DRIFT
 from phiplane.field import HALF, PHI, QPhi, ZERO, phi_power, sgn_pair
 
+DRIFT = -T_PHI_DRIFT                  # 1/(2 phi**3)
 PHI_F = (1 + 5 ** 0.5) / 2
 
 

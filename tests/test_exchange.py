@@ -89,6 +89,44 @@ def test_literal_reading_fails_witness():
     assert literal.piece(1).region.area() != phi_power(-1)
 
 
+def _with_strips(E: PieceExchange, d1, d2) -> PieceExchange:
+    """E with the strips of its two pieces replaced."""
+    return replace(E, pieces=(replace(E.piece(1), region=Region(tuple(d1))),
+                              replace(E.piece(2), region=Region(tuple(d2)))))
+
+
+EPS = phi_power(-40)
+D1_LO, D1_HI = "p(D1) reaches z-1", "p(D1) exceeds z+1/phi^2"
+D2_LO, D2_HI = "p(D2) reaches z-1/phi^2", "p(D2) reaches z+1/phi^2"
+# the pieces' end strips pinch to a point at their outer x-ends; these
+# flags put that point into the strip at x_lo, or at x_hi
+POINT = {"lower_closed": True}
+POINT_HI = {"lower_closed": True, "hi_closed": True}
+
+
+@pytest.mark.parametrize("z, flagged, expected", [
+    (PAPER_STATED_Z + EPS, None, [D1_LO, D2_LO]),
+    (PAPER_STATED_Z - EPS, None, [D2_HI]),
+    (PAPER_STATED_Z - INV_PHI2 - EPS, None, [D1_HI, D2_HI]),
+    # a tight end fails once the slice there, a point, is closed
+    (PAPER_STATED_Z, (1, 0, POINT), [D1_LO]),
+    (PAPER_STATED_Z, (2, 0, POINT), [D2_LO]),
+    (PAPER_STATED_Z, (2, -1, POINT_HI), [D2_HI]),
+    # but D1's right end is closed, so a point on z + 1/phi**2 is allowed
+    (PAPER_STATED_Z - INV_PHI2, (1, -1, POINT_HI), [D2_HI]),
+], ids=["z+eps", "z-eps", "z-1/phi^2-eps", "D1 left point",
+        "D2 left point", "D2 right point", "D1 right point allowed"])
+def test_planted_projection_faults(base, z, flagged, expected):
+    E = base
+    if flagged:
+        label, index, flags = flagged
+        strips = [list(base.piece(k).region.strips) for k in (1, 2)]
+        chosen = strips[label - 1]
+        chosen[index] = replace(chosen[index], **flags)
+        E = _with_strips(base, *strips)
+    assert check_projection_witness(E, z) == expected
+
+
 def test_strip_transport_matches_point_maps(base):
     pts = sample_points(base, 6, seed=2)
     for s in base.piece(1).region.strips:
@@ -236,6 +274,21 @@ def test_renormalize_checks_hold(base):
     assert all(checks.values()), checks
     assert after.piece(1).region.area() == phi_power(-1)
     assert after.piece(2).region.area() == phi_power(-2)
+
+
+@pytest.mark.parametrize("fault, failing", [
+    (lambda d1, d2: (d1, d2[1:]), "T(psi^-1(D1)) in D2'"),
+    (lambda d1, d2: (d1[:-1], d2), "T(psi^-1(D2)) in D1'"),
+    (lambda d1, d2: (d1[1:], d2), "T(D2')-(1,0) in D1'"),
+    (lambda d1, d2: (d1 + d2[:1], d2), "D1' and D2' area-disjoint"),
+], ids=["drop D2' first", "drop D1' last", "drop D1' first",
+        "D2' first in D1'"])
+def test_planted_renormalization_faults(base, fault, failing):
+    after = renormalize(base)
+    faulty = _with_strips(after, *fault(after.piece(1).region.strips,
+                                        after.piece(2).region.strips))
+    checks = renormalization_checks(base, faulty)
+    assert [k for k, ok in checks.items() if not ok] == [failing]
 
 
 def test_leading_coefficient_recurrence(tower4):

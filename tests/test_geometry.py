@@ -184,6 +184,19 @@ def test_exact_modules_hold_no_double(name):
                     ("float_bounds", "__float__")), node.lineno
 
 
+@pytest.mark.parametrize("path", sorted(
+    Path(geometry.__file__).parent.glob("*.py")), ids=lambda p: p.stem)
+def test_order_decisions_build_no_difference(path):
+    # an order test goes through cmp or a comparison, never through the
+    # sign of a difference built for it
+    assert sorted(
+        node.lineno for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute) and node.func.attr == "sign"
+        and isinstance(node.func.value, ast.BinOp)
+        and isinstance(node.func.value.op, ast.Sub)) == []
+
+
 def test_merge_drops_empty():
     assert merge_strips([rect(1, 1, 0, 1)]) == ()
     assert EMPTY_REGION.area() == ZERO
