@@ -14,24 +14,12 @@ from fractions import Fraction
 from typing import Callable
 
 from . import birkhoff, scenarios, words
-from .exchange import (PAPER_STATED_Z, PieceExchange, build_base_exchange,
+from .exchange import (PAPER_STATED_Z, build_base_exchange,
                        build_translation_exchange, check_projection_witness,
-                       projection_witness, renormalization_checks,
-                       renormalize, sample_points)
+                       exchange_tower, projection_witness,
+                       renormalization_checks, sample_points)
 from .field import PHI, QPhi, ZERO, phi_power, sgn_pair
 from .refine import chain_language, complexity_table, refinement_chain
-
-
-_TOWER: list[PieceExchange] = []    # the checks' renormalization tower
-
-
-def _tower(levels: int) -> list[PieceExchange]:
-    """Levels 1..levels, extending the cached tower as needed."""
-    if not _TOWER:
-        _TOWER.append(build_base_exchange())
-    while len(_TOWER) < levels:
-        _TOWER.append(renormalize(_TOWER[-1]))
-    return _TOWER[:levels]
 
 
 def _random_qphi(rng: random.Random, span: int = 40) -> QPhi:
@@ -133,7 +121,7 @@ def check_base_exchange() -> tuple[bool, str]:
 def check_renormalization() -> tuple[bool, str]:
     """Zone inclusions, areas, disjointness and the c2 recurrence."""
     levels = 12
-    tower = _tower(levels + 1)
+    tower = exchange_tower(levels + 1)
     for N in range(levels):
         before, after = tower[N], tower[N + 1]
         checks = renormalization_checks(before, after)
@@ -157,7 +145,7 @@ def check_theorem2_desk_scale() -> tuple[bool, str]:
     M(N) is the largest M with p(k) = k+1 for every k <= M at level N;
     the law also fixes the first excess, p(M+1) = M+3.
     """
-    tower = _tower(10)
+    tower = exchange_tower(10)
     fib = [1, 1]                    # F_1, F_2, ...
     while len(fib) < 9:
         fib.append(fib[-1] + fib[-2])
@@ -252,12 +240,12 @@ def check_unboundedness_evidence() -> tuple[bool, str]:
     """Exact records of |S_n|, their growth, and growing vertical extent
     of the domains."""
     tower_levels = 20
-    # phi's first step lands exactly on a wrap: {phi + 1/phi**2} = 1
-    for x0 in (ZERO, PHI):
-        if birkhoff.record_maxima(x0, 20_000) != _exact_records(x0, 20_000):
-            return False, f"records of {x0} differ from the exact sums"
     rng = random.Random(9)
     x0s = [QPhi(0)] + [_random_qphi(rng, 16) for _ in range(5)]
+    # phi's first step lands exactly on a wrap: {phi + 1/phi**2} = 1
+    for x0 in (*x0s, PHI):
+        if birkhoff.record_maxima(x0, 20_000) != _exact_records(x0, 20_000):
+            return False, f"records of {x0} differ from the exact sums"
     decades = (100, 1000, 10_000, 100_000)
     for x0 in x0s:
         records = birkhoff.record_maxima(x0, decades[-1])
@@ -268,7 +256,7 @@ def check_unboundedness_evidence() -> tuple[bool, str]:
             if prev is not None and cur <= prev:
                 return False, f"no new |S_n| record in decade {N} for {x0}"
             prev = cur
-    tower = _tower(tower_levels)
+    tower = exchange_tower(tower_levels)
     extents = [max(p.region.y_extent_bound() for p in E.pieces)
                for E in tower]
     for a, b in zip(extents, extents[1:]):

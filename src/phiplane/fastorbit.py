@@ -22,7 +22,7 @@ from math import lcm
 
 from .exchange import (ExchangeError, PieceExchange, Point,
                        build_base_exchange)
-from .field import QPhi, sgn_pair
+from .field import QPhi, over_one_denominator, sgn_pair
 from .words import Word
 
 # L-step jump tables: macro steps of JUMP_LENGTH symbols (8 beat 6 and
@@ -31,10 +31,6 @@ from .words import Word
 # where the build pays for itself at levels 1 to 12)
 JUMP_LENGTH = 8
 JUMP_AFTER = 1000
-
-
-def _denoms(x: QPhi) -> int:
-    return x.scaled()[2]
 
 
 def _pair(x: QPhi, scale: int) -> tuple[int, int]:
@@ -56,7 +52,7 @@ class _Index:
     """
 
     def __init__(self, exchange: PieceExchange) -> None:
-        d = 1
+        values = []
         self.strips = []
         self.moves = {}
         for piece in exchange.pieces:
@@ -66,20 +62,17 @@ class _Index:
                 raise ExchangeError(f"piece {piece.label}: branch is not an"
                                     " integer-slope shear")
             self.moves[piece.label] = (br.u, br.q.c0, k)
-            d = lcm(d, _denoms(br.u), _denoms(br.q.c0))
+            values += br.u, br.q.c0
             for s in piece.region.strips:
                 if s.lower.c2 != s.upper.c2:
                     raise ExchangeError(
                         f"piece {piece.label}: strip bounds do not share c2")
-                for v in (s.lower.c2, s.lower.c1, s.lower.c0,
-                          s.upper.c1, s.upper.c0):
-                    d = lcm(d, _denoms(v))
+                values += (s.lower.c2, s.lower.c1, s.lower.c0,
+                           s.upper.c1, s.upper.c0)
                 self.strips.append((piece, s))
         self.xs = xs = sorted({x for _, s in self.strips
                                for x in (s.x_lo, s.x_hi)})
-        for x in xs:
-            d = lcm(d, _denoms(x))
-        self.base_den = d
+        self.base_den = over_one_denominator(values + xs)[1]
         where = {x: i for i, x in enumerate(xs)}
         self._gaps: list[list[int]] = [[] for _ in range(len(xs) + 1)]
         for j, (_, s) in enumerate(self.strips):
@@ -187,7 +180,7 @@ class CompiledExchange:
         if jumps is None and \
                 self._asked > JUMP_AFTER * len(self._index.strips):
             jumps = self._jumps = _Index(self.exchange.power(JUMP_LENGTH))
-        d = lcm(self._index.base_den, _denoms(p.x), _denoms(p.y))
+        d = lcm(self._index.base_den, p.x.scaled()[2], p.y.scaled()[2])
         if jumps is not None:
             d = lcm(d, jumps.base_den)
             jgaps, jends_a, jends_b = jumps.table(d)[:3]

@@ -340,14 +340,8 @@ def phi_power(k: int) -> QPhi:
 
 def _fib_pair(k: int) -> Tuple[int, int]:
     """Return (F_k, F_{k-1}) for any integer k."""
-    if k >= 0:
-        a, b = 0, 1  # F_0, F_-1
-        for _ in range(k):
-            a, b = a + b, a
-        return a, b
-    # F_{-n} = (-1)**(n+1) F_n
-    n = -k
-    fn, fn1 = _fib_pair(n)       # F_n, F_{n-1}
-    f_neg = fn if n % 2 == 1 else -fn                  # F_{-n}
-    f_neg_m1 = -(fn + fn1) if n % 2 == 1 else (fn + fn1)  # F_{-n-1}
-    return f_neg, f_neg_m1
+    a, b = 0, 1  # F_0, F_-1
+    for _ in range(abs(k)):
+        # one step up, or one step down by F_{j-2} = F_j - F_{j-1}
+        a, b = (a + b, a) if k > 0 else (b, a - b)
+    return a, b

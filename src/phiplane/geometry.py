@@ -210,10 +210,8 @@ Constraint = tuple[QuadBound, bool]  # bound and whether equality is allowed
 
 def strips_from_constraints(x_lo: QPhi, x_hi: QPhi,
                             lowers: Sequence[Constraint],
-                            uppers: Sequence[Constraint],
-                            lo_closed=True, hi_closed=False) -> list[Strip]:
-    """Strips of {x_lo <(=) x <(=) x_hi, all lowers <(=) y <(=) all uppers},
-    closed at x_lo and x_hi as lo_closed and hi_closed say.
+                            uppers: Sequence[Constraint]) -> list[Strip]:
+    """Strips of {x_lo <= x < x_hi, all lowers <(=) y <(=) all uppers}.
 
     Splits the interval at the roots of every pairwise affine bound
     difference that lie strictly inside it.  A pair table holds the sign
@@ -227,7 +225,7 @@ def strips_from_constraints(x_lo: QPhi, x_hi: QPhi,
     n_lo, n = len(lowers), len(lowers) + len(uppers)
     return _bands(x_lo, x_hi, [c[0] for c in (*lowers, *uppers)],
                   [c[1] for c in (*lowers, *uppers)],
-                  ((range(n_lo), range(n_lo, n)),), lo_closed, hi_closed)
+                  ((range(n_lo), range(n_lo, n)),), True, False)
 
 
 def _bands(x_lo: QPhi, x_hi: QPhi, bounds: list[QuadBound],

@@ -261,10 +261,8 @@ def detect_dependence(system: MeasureSystem) -> IntegerRelation:
 
     cr, cs = at(())
     dr, ds = at((free[0],)) if free else (Poly(), Poly())
-    if not dr:
+    if not dr:      # ds has the coefficients of dr, so it is 0 too
         return _clear(Poly.const(1), Poly(), cr)
-    if not ds:
-        return _clear(Poly(), Poly.const(1), cs)
     return _clear(ds, -dr, ds * cr - dr * cs)
 
 

@@ -144,9 +144,6 @@ class Language:
     def __contains__(self, w: Word) -> bool:
         return w in self.words
 
-    def __le__(self, other: "Language") -> bool:
-        return self.words <= other.words
-
     def export(self) -> str:
         """Sorted newline-separated word list, symbols as digits."""
         ws = sorted(self.words, key=lambda w: (len(w), w))

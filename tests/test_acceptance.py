@@ -16,24 +16,6 @@ def test_criterion(name, check):
     assert ok, f"{name}: {detail}"
 
 
-def test_tower_cache_extends_instead_of_rebuilding(monkeypatch):
-    from phiplane import acceptance
-    calls = []
-    real = acceptance.renormalize
-
-    def counted(exchange):
-        calls.append(exchange.level)
-        return real(exchange)
-    monkeypatch.setattr(acceptance, "renormalize", counted)
-    monkeypatch.setattr(acceptance, "_TOWER", [])
-    short = acceptance._tower(2)
-    longer = acceptance._tower(4)
-    assert calls == [1, 2, 3]
-    assert [E.level for E in longer] == [1, 2, 3, 4]
-    assert all(a is b for a, b in zip(short, longer))
-    assert acceptance._tower(3) == longer[:3] and calls == [1, 2, 3]
-
-
 def test_criterion6_fails_on_a_dropped_cell(monkeypatch):
     # the collapse law can fail: drop one cell at depth M+1 = 5 of level 3
     from phiplane import acceptance

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -6,6 +7,7 @@ from dataclasses import replace
 import pytest
 
 import phiplane
+from phiplane import acceptance, cli
 from phiplane.cli import run
 from phiplane.exchange import (T_PHI, PlaneMap, build_base_exchange,
                                build_translation_exchange, exchange_tower,
@@ -121,6 +123,40 @@ def test_cli_base_roundtrips(capsys, base):
     assert serialize_exchange(parse_exchange(out)) == serialize_exchange(base)
 
 
+@pytest.mark.parametrize("level", [1, 3])
+def test_cli_renorm_serializes_the_last_level(capsys, level):
+    code, out, err = run_capture(capsys, ["renorm", "--level", str(level)])
+    assert (code, err) == (0, "")
+    assert out == serialize_exchange(exchange_tower(level)[-1])
+
+
+def test_cli_renorm_failed_check_exits_1(capsys, monkeypatch):
+    def planted(before, after):
+        return {"zones": True, "D1' and D2' area-disjoint": after.level < 3}
+    monkeypatch.setattr(cli, "renormalization_checks", planted)
+    code, out, err = run_capture(capsys, ["renorm", "--level", "4"])
+    assert (code, out) == (1, "")
+    assert err == ("hypothesis check failed at level 3: "
+                   "D1' and D2' area-disjoint\n")
+
+
+def test_cli_verify_reports_every_criterion(capsys, monkeypatch):
+    # a crash is one failing line; the run goes on to the next criterion
+    def crash():
+        raise ValueError("planted")
+    monkeypatch.setattr(acceptance, "CRITERIA", [
+        ("1 passes", lambda: (True, "fine")),
+        ("2 fails", lambda: (False, "wrong")),
+        ("3 raises", crash)])
+    code, out, err = run_capture(capsys, ["verify"])
+    assert (code, err) == (1, "")
+    assert [re.fullmatch(r"(.*) \(\d+\.\ds\)", line).group(1)
+            for line in out.splitlines()] == [
+        "[PASS] 1 passes: fine",
+        "[FAIL] 2 fails: wrong",
+        "[FAIL] 3 raises: exception: ValueError('planted')"]
+
+
 def test_cli_deterministic(capsys):
     _, first, _ = run_capture(capsys, ["sums", "--max-n", "40"])
     _, second, _ = run_capture(capsys, ["sums", "--max-n", "40"])
@@ -157,6 +193,13 @@ def test_cli_translation_dependence_beyond_small_coefficients(capsys):
     assert (code, out) == (1, "")
     assert err == ("hypothesis check failed: 1, alpha, beta rationally "
                    "dependent: -1*alpha + 21*beta = 1\n")
+
+
+def test_cli_translation_outside_the_unit_square_exits_1(capsys):
+    code, out, err = run_capture(capsys, ["translation", "--alpha=3,2,0,1"])
+    assert (code, out) == (1, "")
+    assert err == ("hypothesis check failed: alpha and beta must lie "
+                   "strictly in (0, 1)\n")
 
 
 def test_cli_complexity_level1_golden_bytes(capsys):
@@ -276,6 +319,11 @@ def test_cli_usage_errors_exit_2(capsys):
         run(["sums", "--x0", "1,0,0,1"])
     assert exc.value.code == 2
     assert "argument --x0: zero denominator" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["sums", "--x0", "1,2,x,1"])
+    assert exc.value.code == 2
+    assert ("argument --x0: invalid literal for int() with base 10: 'x'"
+            in capsys.readouterr().err)
 
 
 def test_cli_import_leaves_sympy_out():

@@ -655,8 +655,16 @@ def _mixed_constraints(draw):
 @settings(max_examples=400, deadline=None)
 @given(_mixed_constraints())
 def test_kernel_matches_qphi_formulas(case):
+    # strips_from_constraints closes x_lo and opens x_hi; the kernel under
+    # it takes both end flags, as region_intersect and region_subtract use
     x_lo, x_hi, lowers, uppers, lo_c, hi_c = case
-    got = strips_from_constraints(x_lo, x_hi, lowers, uppers, lo_c, hi_c)
+    got = strips_from_constraints(x_lo, x_hi, lowers, uppers)
+    want = _qphi_strips(x_lo, x_hi, lowers, uppers)
+    assert [_strip_tuple(s) for s in got] == [_strip_tuple(s) for s in want]
+    bounds, closed = zip(*lowers, *uppers)
+    band = (range(len(lowers)), range(len(lowers), len(bounds)))
+    got = geometry._bands(x_lo, x_hi, list(bounds), list(closed), (band,),
+                          lo_c, hi_c)
     want = _qphi_strips(x_lo, x_hi, lowers, uppers, lo_c, hi_c)
     assert [_strip_tuple(s) for s in got] == [_strip_tuple(s) for s in want]
     for s in got:

@@ -56,10 +56,10 @@ def test_degenerate_systems_rejected():
         detect_dependence(loose)
 
 
-def test_random_scenarios_are_consistent():
-    # any well-formed transition table has a measure solution
-    rng = random.Random(7)
-    for trial in range(300):
+def _random_scenarios(rng, trials):
+    """Well-formed transition tables: 2 to 7 pieces, at most one of them
+    refining, every source sent to another piece."""
+    for trial in range(trials):
         count = rng.randint(2, 7)
         refining = rng.choice([None, *range(1, count + 1)])
         transitions = {}
@@ -68,7 +68,12 @@ def test_random_scenarios_are_consistent():
                 targets = [j for j in range(1, count + 1)
                            if src != str(j)]
                 transitions[src] = rng.choice(targets)
-        sc = Scenario(f"random {trial}", count, refining, transitions)
+        yield Scenario(f"random {trial}", count, refining, transitions)
+
+
+def test_random_scenarios_are_consistent():
+    # any well-formed transition table has a measure solution
+    for sc in _random_scenarios(random.Random(7), 300):
         sol = solve_measures(derive_constraints(sc))
         assert sum(sol.values(), Poly()) == Poly.const(1)
 
@@ -203,10 +208,29 @@ def _solution_points(count, transitions):
     return points
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+def _forced_scenarios(seed, trials):
+    """The random scenarios that leave at most one free measure."""
+    out = []
+    for sc in _random_scenarios(random.Random(seed), trials):
+        try:
+            scenario_relation(sc)
+        except ScenarioError:       # two or more free measures
+            continue
+        out.append(sc)
+    return out
+
+
+@pytest.mark.parametrize("n", [*range(1, 7), "random"])
 def test_relations_hold_on_measure_solutions(n):
     rng = random.Random(n)
-    for sc in enumerate_scenarios(n):
+    if n == "random":
+        scenarios = _forced_scenarios(22, 60)
+        # some relations come from r alone: the measures' weight on the
+        # free parameter is zero in r, and so in s
+        assert any(not scenario_relation(sc).coeff_s for sc in scenarios)
+    else:
+        scenarios = enumerate_scenarios(n)
+    for sc in scenarios:
         lines = scenario_report(sc).split("\n")
         count = int(_HEADER.match(lines[0]).group(1))
         transitions = {}
