@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import birkhoff, words
 from .refine import complexity_table
@@ -47,6 +48,7 @@ def _at_least(low: int):
     return check
 
 
+@cache      # one parser per process: parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="phiplane",

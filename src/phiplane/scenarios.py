@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm
 from typing import Mapping
 
 Source = str            # "1a", "1b" or a piece number as text
 Monomial = tuple[str, ...]      # sorted names
 Coeff = int | Fraction
+_LAST = ("\U0010ffff",)    # sorts after every name not starting with it
 
 
 class ScenarioError(ValueError):
@@ -28,10 +29,9 @@ class Poly:
     """A polynomial with exact rational coefficients over named symbols.
 
     It carries only what the scenario analysis needs: sums, differences,
-    scalar and polynomial products, and substitution of numbers for
-    names.  `str` prints the expanded form that the `theorem1` reports
-    use, byte for byte; those polynomials have integer coefficients and
-    no squares.
+    scalar and polynomial products.  `str` prints the expanded form that
+    the `theorem1` reports use, byte for byte; those polynomials have
+    integer coefficients and no squares.
     """
 
     __slots__ = ("terms",)
@@ -78,26 +78,12 @@ class Poly:
     def coeff(self, monomial: Monomial) -> Coeff:
         return self.terms.get(monomial, 0)
 
-    def subs(self, values: Mapping[str, Coeff]) -> Poly:
-        """Substitute numbers for some of the names."""
-        out: dict[Monomial, Coeff] = {}
-        for m, c in self.terms.items():
-            rest = tuple(n for n in m if n not in values)
-            c *= prod(values[n] for n in m if n in values)
-            out[rest] = out.get(rest, 0) + c
-        return Poly(out)
-
-    def denominator(self) -> int:
-        """The lcm of the coefficient denominators."""
-        return lcm(*(Fraction(c).denominator for c in self.terms.values()))
-
     def __str__(self) -> str:
         # terms by exponent vector over the sorted names, in descending lex
-        # order, so the constant term comes last
-        names = sorted({n for m in self.terms for n in m})
+        # order: ascending on the monomials closed by _LAST, which puts a
+        # monomial before its prefixes and the constant term last
         parts: list[str] = []
-        for m in sorted(self.terms, reverse=True,
-                        key=lambda m: [m.count(n) for n in names]):
+        for m in sorted(self.terms, key=lambda m: m + _LAST):
             c = self.terms[m]
             factors = list(m) if abs(c) == 1 and m else [str(abs(c)), *m]
             parts += ["-" if c < 0 else "+", "*".join(factors)]
@@ -206,15 +192,18 @@ def derive_constraints(scenario: Scenario) -> MeasureSystem:
                          tuple(e for e in eqs if e), r_expr, s_expr)
 
 
-def solve_measures(system: MeasureSystem) -> dict[str, Poly]:
-    """Every measure as an affine form in the free ones, exactly.
+def _eliminate(system: MeasureSystem
+               ) -> tuple[list[list[int]], list[int], list[int]]:
+    """Gauss-Jordan elimination in integers: rows, pivot and free columns.
 
-    Gauss-Jordan elimination over Fraction with the columns in
-    `system.variables` order; the free measures are the non-pivot
-    columns, and each of them maps to itself.
+    A row is an equality's integer coefficients in `system.variables`
+    order, then minus its constant term.  A step sets a row to
+    row*piv - f*pivot_row over its content, so each row is a nonzero
+    multiple of its Fraction counterpart, with the same pivots: row i
+    holds pivots[i] and no other pivot column.
     """
     names = system.variables
-    rows = [[Fraction(e.coeff((v,))) for v in names] + [-Fraction(e.coeff(()))]
+    rows = [[e.coeff((v,)) for v in names] + [-e.coeff(())]
             for e in system.equalities]
     pivots: list[int] = []
     for col in range(len(names)):
@@ -223,21 +212,32 @@ def solve_measures(system: MeasureSystem) -> dict[str, Poly]:
         if p is None:
             continue
         rows[top], rows[p] = rows[p], rows[top]
-        piv = rows[top][col]
-        rows[top] = pivot_row = [x / piv if x else x for x in rows[top]]
+        pivot_row = rows[top]
+        piv = pivot_row[col]
         for i, row in enumerate(rows):
-            if i != top and row[col]:
-                f = row[col]
-                rows[i] = [a - f * b if b else a
-                           for a, b in zip(row, pivot_row)]
+            if i != top and (f := row[col]):
+                row = [a * piv - f * b for a, b in zip(row, pivot_row)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
     if any(row[-1] for row in rows[len(pivots):]):
         raise ScenarioError("inconsistent measure equations")
-    free = [c for c in range(len(names)) if c not in pivots]
+    return rows, pivots, [c for c in range(len(names)) if c not in pivots]
+
+
+def solve_measures(system: MeasureSystem) -> dict[str, Poly]:
+    """Every measure as an affine form in the free ones, exactly.
+
+    The columns are in `system.variables` order; the free measures are
+    the non-pivot columns, and each of them maps to itself.
+    """
+    names = system.variables
+    rows, pivots, free = _eliminate(system)
     sol = {names[c]: Poly.symbol(names[c]) for c in free}
     for row, c in zip(rows, pivots):
-        sol[names[c]] = sum((Poly.symbol(names[f]) * -row[f] for f in free),
-                            Poly.const(row[-1]))
+        sol[names[c]] = sum((Poly.symbol(names[f]) * Fraction(-row[f], row[c])
+                             for f in free),
+                            Poly.const(Fraction(row[-1], row[c])))
     return {v: sol[v] for v in names}
 
 
@@ -245,32 +245,44 @@ def detect_dependence(system: MeasureSystem) -> IntegerRelation:
     """Eliminate the measures and return the forced relation on r and s.
 
     The equalities must cut the solution set down to at most one free
-    measure parameter tau; then r = cr + dr*tau and s = cs + ds*tau, and
-    ds*r - dr*s no longer depends on tau.  The relation has integer
-    coefficients in the shift names after clearing denominators.
+    measure parameter tau.  With q the lcm of the pivots, every measure
+    is (C + D*tau)/q for integers C and D, so q*r = cr + dr*tau and
+    q*s = cs + ds*tau, and ds*r - dr*s no longer depends on tau.  The
+    relation is its least integer multiple, coefficients in the shift
+    names.  r and s must be integer sums of measures times shift names,
+    as `derive_constraints` builds them.
     """
-    sol = solve_measures(system)
-    free = sorted({n for p in sol.values() for m in p.terms for n in m})
+    names = system.variables
+    rows, pivots, free = _eliminate(system)
     if len(free) > 1:
         raise ScenarioError(f"no forced relation: {len(free)} free measures")
+    q = lcm(*(row[c] for row, c in zip(rows, pivots)))
+    C = dict.fromkeys(names, 0)
+    D = {names[f]: q for f in free}     # free is [] or [tau]
+    for row, c in zip(rows, pivots):
+        C[names[c]] = row[-1] * (q // row[c])
+        D[names[c]] = -sum(row[f] for f in free) * (q // row[c])
+    cr, cs, dr, ds = (_form(e, values) for values in (C, D)
+                      for e in (system.r_expr, system.s_expr))
+    if dr:
+        Q, polys = q * q, (ds * q, -dr * q, ds * cr - dr * cs)
+    else:           # ds has the coefficients of dr, so it is 0 too
+        Q, polys = q, (Poly.const(q), Poly(), cr)
+    # the relation is polys/Q, and the lcm of its reduced denominators
+    # is Q / gcd(Q, every coefficient)
+    g = gcd(Q, *(c for p in polys for c in p.terms.values()))
+    return IntegerRelation(*(Poly({m: c // g for m, c in p.terms.items()})
+                             for p in polys))
 
-    def at(monomial: Monomial) -> tuple[Poly, Poly]:
-        # r and s are linear in the measures: substitute one coefficient
-        values = {v: p.coeff(monomial) for v, p in sol.items()}
-        return system.r_expr.subs(values), system.s_expr.subs(values)
 
-    cr, cs = at(())
-    dr, ds = at((free[0],)) if free else (Poly(), Poly())
-    if not dr:      # ds has the coefficients of dr, so it is 0 too
-        return _clear(Poly.const(1), Poly(), cr)
-    return _clear(ds, -dr, ds * cr - dr * cs)
-
-
-def _clear(cr: Poly, cs: Poly, c0: Poly) -> IntegerRelation:
-    # scale by the lcm of all denominators, keeping any common content
-    d = lcm(cr.denominator(), cs.denominator(), c0.denominator())
-    return IntegerRelation(*(Poly({m: int(c * d) for m, c in p.terms.items()})
-                             for p in (cr, cs, c0)))
+def _form(expr: Poly, values: dict[str, int]) -> Poly:
+    # expr is linear in the measures: put their values in
+    out: dict[Monomial, int] = {}
+    for m, c in expr.terms.items():
+        v, = (n for n in m if n in values)
+        rest = tuple(n for n in m if n != v)
+        out[rest] = out.get(rest, 0) + c * values[v]
+    return Poly(out)
 
 
 def enumerate_scenarios(n: int) -> list[Scenario]:

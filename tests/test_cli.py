@@ -326,6 +326,20 @@ def test_cli_usage_errors_exit_2(capsys):
             in capsys.readouterr().err)
 
 
+def test_cli_parser_survives_a_usage_error(capsys):
+    # one parser serves every call; a usage error leaves it as it was
+    assert cli._build_parser() is cli._build_parser()
+    code, first, err = run_capture(capsys, ["theorem1", "--n", "3"])
+    assert (code, err) == (0, "")
+    with pytest.raises(SystemExit) as exc:
+        run(["theorem1", "--n", "0"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage: phiplane theorem1" in err
+    assert "phiplane theorem1: error: argument --n: must be >= 1" in err
+    assert run_capture(capsys, ["theorem1", "--n", "3"]) == (0, first, "")
+
+
 def test_cli_import_leaves_sympy_out():
     # no phiplane module, scenarios and acceptance included, loads sympy
     src = os.path.dirname(os.path.dirname(phiplane.__file__))

@@ -1,14 +1,30 @@
+"""Scenario elimination, its Fraction oracle, and theorem1's bytes.
+
+tests/data/theorem1_digests.txt holds the sha256 of `phiplane theorem1
+--n N` stdout for N = 7..12 and 20, beyond the full reports of n <= 6.
+Print the digests, to compare two versions, with
+
+    PYTHONPATH=src python tests/test_scenarios.py --digests
+"""
+
+import contextlib
+import hashlib
+import io
 import random
 import re
+import sys
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from phiplane.cli import run
 from phiplane.exchange import Point, build_translation_exchange
 from phiplane.field import QPhi, phi_power
 from phiplane.scenarios import (MeasureSystem, Poly, Scenario, ScenarioError,
-                                derive_constraints,
+                                IntegerRelation, derive_constraints,
                                 detect_dependence, enumerate_scenarios,
                                 scenario_relation, scenario_report,
                                 shift_names, solve_measures)
@@ -267,10 +283,7 @@ def test_poly_arithmetic():
     assert (x + y) - y == x
     assert x - x == Poly() and not x - x
     assert (x + Poly.const(1)) * (x - Poly.const(1)) == x * x - Poly.const(1)
-    assert (x * Fraction(1, 2) + y * Fraction(1, 3)).denominator() == 6
-    assert Poly().denominator() == 1
     p = x * y * 3 - x + Poly.const(2)
-    assert p.subs({"y": 2}) == x * 5 + Poly.const(2)
     assert poly_value(p, {"x": Fraction(1, 3), "y": 2}) == Fraction(11, 3)
     with pytest.raises(KeyError):
         poly_value(p, {"x": 1})
@@ -293,6 +306,29 @@ def test_poly_prints_like_sympy(poly, text):
     assert str(poly) == text
 
 
+_NAMES = ("a1a", "a1b", "a11", "m1", "m2", "n1", "n2", "n10", "x")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(
+    st.lists(st.sampled_from(_NAMES), max_size=4).map(
+        lambda m: tuple(sorted(m))),
+    st.integers(-5, 5).filter(bool), max_size=8))
+def test_poly_prints_by_descending_exponent_vectors(terms):
+    # names repeat (squares), and n2 and n10 sort as text
+    p = Poly(terms)
+    names = sorted({n for m in terms for n in m})
+    order = sorted(terms, reverse=True,
+                   key=lambda m: [m.count(n) for n in names])
+    want = ""
+    for m in order:
+        c = terms[m]
+        one = str(Poly({m: abs(c)}))
+        want += (("-" if c < 0 else "") + one if not want else
+                 (" - " if c < 0 else " + ") + one)
+    assert str(p) == (want or "0")
+
+
 def test_orbit_frequencies_match_translation():
     # empirical piece frequencies recover the translation components:
     # sum_i freq(i) * shift_i approximates (alpha, beta)
@@ -307,3 +343,117 @@ def test_orbit_frequencies_match_translation():
     s_hat = sum(freq[i] * shifts[i][1] for i in freq)
     assert abs(r_hat - float(alpha)) <= 1e-2
     assert abs(s_hat - float(beta)) <= 1e-2
+
+
+# -- the Fraction elimination: the oracle for the integer one ------------
+
+def _oracle_solve(system):
+    """Gauss-Jordan over Fraction, each pivot row scaled to 1."""
+    names = system.variables
+    rows = [[Fraction(e.coeff((v,))) for v in names] + [-Fraction(e.coeff(()))]
+            for e in system.equalities]
+    pivots = []
+    for col in range(len(names)):
+        top = len(pivots)
+        p = next((i for i in range(top, len(rows)) if rows[i][col]), None)
+        if p is None:
+            continue
+        rows[top], rows[p] = rows[p], rows[top]
+        piv = rows[top][col]
+        rows[top] = pivot_row = [x / piv for x in rows[top]]
+        for i, row in enumerate(rows):
+            if i != top and row[col]:
+                f = row[col]
+                rows[i] = [a - f * b for a, b in zip(row, pivot_row)]
+        pivots.append(col)
+    if any(row[-1] for row in rows[len(pivots):]):
+        raise ScenarioError("inconsistent measure equations")
+    free = [c for c in range(len(names)) if c not in pivots]
+    sol = {names[c]: Poly.symbol(names[c]) for c in free}
+    for row, c in zip(rows, pivots):
+        sol[names[c]] = sum((Poly.symbol(names[f]) * -row[f] for f in free),
+                            Poly.const(row[-1]))
+    return {v: sol[v] for v in names}
+
+
+def _subs(p, values):
+    """p with numbers in place of some of its names."""
+    out = {}
+    for m, c in p.terms.items():
+        rest = tuple(n for n in m if n not in values)
+        c *= prod(values[n] for n in m if n in values)
+        out[rest] = out.get(rest, 0) + c
+    return Poly(out)
+
+
+def _oracle_relation(system):
+    """r and s at the free measure's coefficients 0 and 1, the relation
+    ds*r - dr*s = ds*cr - dr*cs, scaled by the lcm of its denominators."""
+    sol = _oracle_solve(system)
+    free = sorted({n for p in sol.values() for m in p.terms for n in m})
+    if len(free) > 1:
+        raise ScenarioError(f"no forced relation: {len(free)} free measures")
+
+    def at(monomial):
+        values = {v: p.coeff(monomial) for v, p in sol.items()}
+        return _subs(system.r_expr, values), _subs(system.s_expr, values)
+
+    cr, cs = at(())
+    dr, ds = at((free[0],)) if free else (Poly(), Poly())
+    if dr:
+        polys = (ds, -dr, ds * cr - dr * cs)
+    else:
+        polys = (Poly.const(1), Poly(), cr)
+    d = lcm(*(Fraction(c).denominator
+              for p in polys for c in p.terms.values()))
+    return IntegerRelation(*(Poly({m: int(c * d) for m, c in p.terms.items()})
+                             for p in polys))
+
+
+def test_integer_elimination_matches_fraction_oracle():
+    cases = [*_random_scenarios(random.Random(23), 300),
+             *(sc for n in range(1, 13) for sc in enumerate_scenarios(n))]
+    forced = 0
+    for sc in cases:
+        system = derive_constraints(sc)
+        assert solve_measures(system) == _oracle_solve(system), sc.name
+        try:
+            want = _oracle_relation(system)
+        except ScenarioError as e:
+            with pytest.raises(ScenarioError, match=re.escape(str(e))):
+                detect_dependence(system)
+            continue
+        rel = detect_dependence(system)
+        assert rel == want, sc.name
+        for p in (rel.coeff_r, rel.coeff_s, rel.constant):
+            assert all(type(c) is int for c in p.terms.values()), sc.name
+        forced += 1
+    assert forced >= 200        # the enumerated ones and most random ones
+
+
+# -- theorem1 bytes beyond n = 6 -----------------------------------------
+
+DIGESTS = Path(__file__).parent / "data" / "theorem1_digests.txt"
+
+
+def theorem1_digests():
+    out = {}
+    for n in (*range(7, 13), 20):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert run(["theorem1", "--n", str(n)]) == 0
+        digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        out[f"theorem1_n{n}"] = digest
+    return out
+
+
+def test_theorem1_matches_golden_digests():
+    want = dict(line.split() for line in DIGESTS.read_text().splitlines()
+                if line.strip())
+    assert theorem1_digests() == want
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--digests"]:
+        for name, digest in theorem1_digests().items():
+            print(name, digest)
