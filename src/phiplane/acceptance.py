@@ -18,7 +18,7 @@ from .exchange import (PAPER_STATED_Z, build_base_exchange,
                        build_translation_exchange, check_projection_witness,
                        exchange_tower, projection_witness,
                        renormalization_checks, sample_points)
-from .field import PHI, QPhi, ZERO, phi_power, sgn_pair
+from .field import HALF, PHI, QPhi, ZERO, _fib_pair, phi_power, sgn_pair
 from .refine import chain_language, complexity_table, refinement_chain
 
 
@@ -134,7 +134,7 @@ def check_renormalization() -> tuple[bool, str]:
             return False, f"level {N + 2}: area(D2) != 1/phi^2"
         c_before = before.leading_coefficient()
         c_after = after.leading_coefficient()
-        if c_after != -PHI * PHI * c_before - PHI * QPhi(Fraction(1, 2)):
+        if c_after != -PHI * PHI * c_before - PHI * HALF:
             return False, f"level {N + 1}: c2 recurrence fails"
     return True, f"levels 1..{levels} exact"
 
@@ -146,10 +146,7 @@ def check_theorem2_desk_scale() -> tuple[bool, str]:
     the law also fixes the first excess, p(M+1) = M+3.
     """
     tower = exchange_tower(10)
-    fib = [1, 1]                    # F_1, F_2, ...
-    while len(fib) < 9:
-        fib.append(fib[-1] + fib[-2])
-    horizons = [f - 1 for f in fib[2:]]     # M(1..7)
+    horizons = [_fib_pair(N + 2)[0] - 1 for N in range(1, 8)]    # M(1..7)
     # one refinement run per level: depth 6 for the languages, deeper
     # where the law needs it
     langs = []

@@ -55,6 +55,11 @@ class QuadBound:
         return QuadBound(self.c2, self.c1 + d1, self.c0 + d0)
 
 
+def _inside(s: int, closed: bool) -> bool:
+    # s is a point's sign against one end: inside strictly, or on a closed end
+    return s > 0 or s == 0 and closed
+
+
 @dataclass(frozen=True)
 class Strip:
     """Points with x in an interval and lower(x) < y < upper(x).
@@ -90,24 +95,13 @@ class Strip:
                                 2 * X * X * D)
 
     def x_contains(self, x: QPhi) -> bool:
-        s = cmp(x, self.x_lo)
-        if s < 0 or (s == 0 and not self.lo_closed):
-            return False
-        s = cmp(self.x_hi, x)
-        if s < 0 or (s == 0 and not self.hi_closed):
-            return False
-        return True
+        return (_inside(cmp(x, self.x_lo), self.lo_closed)
+                and _inside(cmp(self.x_hi, x), self.hi_closed))
 
     def contains(self, x: QPhi, y: QPhi) -> bool:
-        if not self.x_contains(x):
-            return False
-        s = cmp(y, self.lower(x))
-        if s < 0 or (s == 0 and not self.lower_closed):
-            return False
-        s = cmp(self.upper(x), y)
-        if s < 0 or (s == 0 and not self.upper_closed):
-            return False
-        return True
+        return (self.x_contains(x)
+                and _inside(cmp(y, self.lower(x)), self.lower_closed)
+                and _inside(cmp(self.upper(x), y), self.upper_closed))
 
     def closure_contains(self, x: QPhi, y: QPhi) -> bool:
         if cmp(x, self.x_lo) < 0 or cmp(self.x_hi, x) < 0:
@@ -116,12 +110,9 @@ class Strip:
 
     def slice_nonempty_at(self, x: QPhi) -> bool:
         """Whether the vertical slice at x contains a point of the strip."""
-        if not self.x_contains(x):
-            return False
-        d = cmp(self.upper(x), self.lower(x))
-        if d > 0:
-            return True
-        return d == 0 and self.lower_closed and self.upper_closed
+        return self.x_contains(x) and _inside(
+            cmp(self.upper(x), self.lower(x)),
+            self.lower_closed and self.upper_closed)
 
     def y_abs_bound(self) -> QPhi:
         """Max of |lower|, |upper| over the interval, exact."""

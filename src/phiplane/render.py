@@ -17,7 +17,7 @@ quadratic bound lists c2, c1, c0.
 from __future__ import annotations
 
 from .exchange import T_PHI, Piece, PieceExchange, translation
-from .field import QPhi
+from .field import QPhi, sgn_affine
 from .geometry import QuadBound, Region, Strip
 
 
@@ -108,6 +108,8 @@ def parse_exchange(text: str) -> PieceExchange:
     for _ in range(count):
         n, tokens = take("piece")
         label, dx, dy, strip_count = ints(n, tokens)
+        if any(p.label == label for p in pieces):
+            raise ParseError(f"line {n}: repeated piece label {label}")
         if strip_count < 0:
             raise ParseError(f"line {n}: negative strip count")
         strips = []
@@ -121,7 +123,7 @@ def parse_exchange(text: str) -> PieceExchange:
             if q[0] >= q[1]:
                 raise ParseError(f"line {n}: strip needs x_lo < x_hi")
             # upper - lower is affine: negative somewhere iff at an end
-            if any((q[6] - q[3]) * x + q[7] - q[4] < 0 for x in q[:2]):
+            if any(sgn_affine(q[6] - q[3], q[7] - q[4], x) < 0 for x in q[:2]):
                 raise ParseError(f"line {n}: strip upper bound lies below"
                                  " its lower bound")
             strips.append(Strip(q[0], q[1],
@@ -142,11 +144,13 @@ _SVG_SAMPLES = 64       # segments along each strip bound
 
 def exchange_svg(exchange: PieceExchange) -> str:
     """SVG 1.1 picture of the pieces, one filled polygon per strip."""
-    strips = [(p.label, s) for p in exchange.pieces for s in p.region.strips]
+    # each piece is coloured by its position: a power's labels are words
+    strips = [(pos, s) for pos, p in enumerate(exchange.pieces)
+              for s in p.region.strips]
     xs: list[float] = []
     ys: list[float] = []
     polys: list[tuple[int, list[tuple[float, float]]]] = []
-    for label, s in strips:
+    for pos, s in strips:
         x_lo, x_hi = float(s.x_lo), float(s.x_hi)
         u2, u1, u0 = float(s.upper.c2), float(s.upper.c1), float(s.upper.c0)
         l2, l1, l0 = float(s.lower.c2), float(s.lower.c1), float(s.lower.c0)
@@ -158,7 +162,7 @@ def exchange_svg(exchange: PieceExchange) -> str:
             pts_top.append((x, u2 * x * x + u1 * x + u0))
             pts_bot.append((x, l2 * x * x + l1 * x + l0))
         poly = pts_top + pts_bot[::-1]
-        polys.append((label, poly))
+        polys.append((pos, poly))
         xs.extend(p[0] for p in poly)
         ys.extend(p[1] for p in poly)
     if not polys:
@@ -179,8 +183,8 @@ def exchange_svg(exchange: PieceExchange) -> str:
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
            f'width="{_SVG_WIDTH}" height="{height}" '
            f'viewBox="0 0 {_SVG_WIDTH} {height}">']
-    for label, poly in polys:
-        color = _COLORS[(label - 1) % len(_COLORS)]
+    for pos, poly in polys:
+        color = _COLORS[pos % len(_COLORS)]
         path = " ".join(f"{sx(x):.3f},{sy(y):.3f}" for x, y in poly)
         out.append(f'<polygon points="{path}" fill="{color}" '
                    f'fill-opacity="0.75" stroke="#303030" '

@@ -161,32 +161,21 @@ def derive_constraints(scenario: Scenario) -> MeasureSystem:
     """Measure equalities forced by the transitions.
 
     The transition targets cover every source, so for each target piece
-    the source measures sum exactly to the target measure.  The system
-    is always consistent: following one source out of every piece ends
-    in a cycle, and equal measures on that cycle's sources (zero
-    elsewhere) solve it.
+    the source measures sum exactly to the target measure; with no
+    transitions only the normalisation is left.  The system is always
+    consistent: following one source out of every piece ends in a
+    cycle, and equal measures on that cycle's sources (zero elsewhere)
+    solve it.
     """
     sources = sorted(scenario._expected_sources())
-    sym = {src: Poly.symbol(f"a{src}") for src in sources}
-
-    def piece_measure(i: int) -> Poly:
-        if i == scenario.refining_piece:
-            return sym[f"{i}a"] + sym[f"{i}b"]
-        return sym[str(i)]
-
-    eqs: list[Poly] = []
-    if scenario.transitions:
-        for j in range(1, scenario.piece_count + 1):
-            inflow = sum((sym[src] for src, tgt in scenario.transitions.items()
-                          if tgt == j), Poly())
-            eqs.append(inflow - piece_measure(j))
-    eqs.append(sum(sym.values(), Poly()) - Poly.const(1))
-
-    ns, ms = shift_names(scenario.piece_count)
-    r_expr = sum((sym[src] * Poly.symbol(ns[scenario.source_piece(src) - 1])
-                  for src in sources), Poly())
-    s_expr = sum((sym[src] * Poly.symbol(ms[scenario.source_piece(src) - 1])
-                  for src in sources), Poly())
+    piece = {src: scenario.source_piece(src) for src in sources}
+    # monomials are sorted tuples: "a..." sorts before "m..." and "n..."
+    eqs = [Poly({(f"a{src}",): (tgt == j) - (piece[src] == j)
+                 for src, tgt in scenario.transitions.items()})
+           for j in range(1, scenario.piece_count + 1)]
+    eqs.append(Poly({**{(f"a{src}",): 1 for src in sources}, (): -1}))
+    r_expr = Poly({(f"a{src}", f"n{piece[src]}"): 1 for src in sources})
+    s_expr = Poly({(f"a{src}", f"m{piece[src]}"): 1 for src in sources})
 
     return MeasureSystem(tuple(f"a{src}" for src in sources),
                          tuple(e for e in eqs if e), r_expr, s_expr)
@@ -235,9 +224,9 @@ def solve_measures(system: MeasureSystem) -> dict[str, Poly]:
     rows, pivots, free = _eliminate(system)
     sol = {names[c]: Poly.symbol(names[c]) for c in free}
     for row, c in zip(rows, pivots):
-        sol[names[c]] = sum((Poly.symbol(names[f]) * Fraction(-row[f], row[c])
-                             for f in free),
-                            Poly.const(Fraction(row[-1], row[c])))
+        sol[names[c]] = Poly({**{(names[f],): Fraction(-row[f], row[c])
+                                 for f in free},
+                              (): Fraction(row[-1], row[c])})
     return {v: sol[v] for v in names}
 
 
@@ -308,30 +297,23 @@ def enumerate_scenarios(n: int) -> list[Scenario]:
         ]
     nu = n - 1
     m = 2 * nu + 1
-    out: list[Scenario] = []
-    cycle = [("1a", 1), ("1b", 2)]
-    cycle += [(str(i), i + 1) for i in range(2, m)]
-    cycle.append((str(m), 1))
-    out.append(Scenario("single cycle", m, 1, dict(cycle)))
-    for k in range(1, nu):
-        tr: list[tuple[Source, int]] = [("1a", 2), ("1b", 3)]
-        tr += [(str(2 * i), 2 * i + 2) for i in range(1, k)]
-        tr += [(str(2 * i + 1), 2 * i + 3) for i in range(1, k)]
-        tr += [(str(2 * k), 2 * k + 2), (str(2 * k + 1), 2 * k + 2)]
-        tr += [(str(i), i + 1) for i in range(2 * k + 2, m)]
-        tr.append((str(m), 1))
-        out.append(Scenario(f"merge before the tail, k={k}", m, 1, dict(tr)))
-    for k in range(1, nu + 1):
-        tr = [("1a", 2), ("1b", 3)]
-        tr += [(str(2 * i), 2 * i + 2) for i in range(1, k)]
-        tr += [(str(2 * i + 1), 2 * i + 3) for i in range(1, k)]
-        tr.append((str(2 * k), 1))
-        if 2 * k + 1 < m:
-            tr.append((str(2 * k + 1), 2 * k + 2))
-            tr += [(str(i), i + 1) for i in range(2 * k + 2, m)]
-        tr.append((str(m), 1))
-        out.append(Scenario(f"short cycle back, k={k}", m, 1, dict(tr)))
-    return out
+
+    def tail(start: int) -> dict[Source, int]:
+        # start -> start + 1 -> ... -> m -> 1
+        return {**{str(i): i + 1 for i in range(start, m)}, str(m): 1}
+
+    def chain(k: int) -> dict[Source, int]:
+        # both merge families begin 1a -> 2, 1b -> 3, then j -> j + 2 below 2k
+        return {"1a": 2, "1b": 3, **{str(j): j + 2 for j in range(2, 2 * k)}}
+
+    return [Scenario("single cycle", m, 1, {"1a": 1, "1b": 2, **tail(2)}),
+            *(Scenario(f"merge before the tail, k={k}", m, 1,
+                       {**chain(k), str(2 * k): 2 * k + 2,
+                        str(2 * k + 1): 2 * k + 2, **tail(2 * k + 2)})
+              for k in range(1, nu)),
+            *(Scenario(f"short cycle back, k={k}", m, 1,
+                       {**chain(k), str(2 * k): 1, **tail(2 * k + 1)})
+              for k in range(1, nu + 1))]
 
 
 def scenario_relation(scenario: Scenario) -> IntegerRelation:

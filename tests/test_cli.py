@@ -65,6 +65,8 @@ def _garbage_cases():
     text = serialize_exchange(build_base_exchange())
     lines = text.splitlines()
     strip = lines[2].split()
+    second = next(i for i, line in enumerate(lines)
+                  if line.startswith("piece 2 "))
 
     def edit(i, line):
         return "\n".join(lines[:i] + [line] + lines[i + 1:]) + "\n"
@@ -91,6 +93,8 @@ def _garbage_cases():
         (edit(0, "exchange T_phi 1 -1"), 1, "negative piece count"),
         (edit(1, " ".join(lines[1].split()[:4] + ["-1"])), 2,
          "negative strip count"),
+        (edit(second, lines[second].replace("piece 2", "piece 1")),
+         second + 1, "repeated piece label 1$"),
     ]
 
 
@@ -102,11 +106,14 @@ def test_parse_rejects_garbage():
 
 
 def test_svg_polygon_count(base):
-    svg = exchange_svg(base)
-    strips = sum(len(p.region.strips) for p in base.pieces)
-    assert svg.count("<polygon") == strips
-    assert svg.startswith("<svg ")
-    assert svg == exchange_svg(base)  # deterministic
+    # a power's pieces are labelled by words; colours follow positions
+    for E in (base, base.power(2)):
+        svg = exchange_svg(E)
+        strips = sum(len(p.region.strips) for p in E.pieces)
+        assert svg.count("<polygon") == strips
+        assert len(set(re.findall(r'fill="(#\w+)"', svg))) == len(E.pieces)
+        assert svg.startswith("<svg ")
+        assert svg == exchange_svg(E)  # deterministic
 
 
 # -- command line -------------------------------------------------------

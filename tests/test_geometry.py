@@ -2,7 +2,7 @@ import ast
 import functools
 from dataclasses import replace
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -54,12 +54,45 @@ def test_mismatched_leading_coefficient():
         s.area()
 
 
+def _on_side(s, closed):
+    # the reference: s is the point's sign against one end
+    return s > 0 or (s == 0 and closed)
+
+
 def test_strip_contains_respects_flags():
-    s = rect(0, 1, 0, 1)      # x in [0,1), 0 < y <= 1
-    assert s.contains(ZERO, Q(1))
-    assert not s.contains(ZERO, ZERO)
-    assert not s.contains(Q(1), HALF)
-    assert s.closure_contains(Q(1), ZERO)
+    # a square, and a strip pinched to one point at its x-end 0, where
+    # lower(0) = upper(0) = 0; points inside, on each of the four ends,
+    # at the corners and outside, for all 16 closedness patterns
+    shapes = [(const(0), const(2), lambda x: 0, lambda x: 2),
+              (const(0), QuadBound(ZERO, Q(1), ZERO), lambda x: 0,
+               lambda x: x)]
+    grid = [Fraction(v, 2) for v in range(-2, 7)]
+    for flags in product((False, True), repeat=4):
+        lo_c, hi_c, lower_c, upper_c = flags
+        for lower, upper, low, up in shapes:
+            s = Strip(Q(0), Q(2), lower, upper, *flags)
+            for x in grid:
+                x_in = _on_side(x, lo_c) and _on_side(2 - x, hi_c)
+                assert s.x_contains(Q(x)) == x_in, (flags, x)
+
+                def y_in(y):
+                    return (_on_side(y - low(x), lower_c)
+                            and _on_side(up(x) - y, upper_c))
+                # a slice holds a point iff it holds an end or the middle
+                ys = (low(x), up(x), (low(x) + up(x)) / 2)
+                assert s.slice_nonempty_at(Q(x)) == \
+                    (x_in and any(map(y_in, ys))), (flags, x)
+                for y in grid:
+                    assert s.contains(Q(x), Q(y)) == (x_in and y_in(y)), \
+                        (flags, x, y)
+                    assert s.closure_contains(Q(x), Q(y)) == (
+                        0 <= x <= 2 and low(x) <= y <= up(x)), (flags, x, y)
+    # the pinched slice holds its one point only if both y-ends are closed
+    pinched = Strip(Q(0), Q(2), *shapes[1][:2], True, False, True, True)
+    assert pinched.slice_nonempty_at(ZERO) and pinched.contains(ZERO, ZERO)
+    pinched = replace(pinched, upper_closed=False)
+    assert not pinched.slice_nonempty_at(ZERO)
+    assert pinched.slice_nonempty_at(HALF)
 
 
 def test_strips_from_constraints_splits_at_crossing():

@@ -1,4 +1,4 @@
-"""Scenario elimination, its Fraction oracle, and theorem1's bytes.
+"""Scenario building and elimination, their oracles, and theorem1's bytes.
 
 tests/data/theorem1_digests.txt holds the sha256 of `phiplane theorem1
 --n N` stdout for N = 7..12 and 20, beyond the full reports of n <= 6.
@@ -345,6 +345,73 @@ def test_orbit_frequencies_match_translation():
     assert abs(s_hat - float(beta)) <= 1e-2
 
 
+# -- the term-by-term builds: oracles for the one-pass ones --------------
+
+def _oracle_constraints(scenario):
+    """The measure system built by summing one Poly per term."""
+    sources = sorted(scenario._expected_sources())
+    sym = {src: Poly.symbol(f"a{src}") for src in sources}
+
+    def piece_measure(i):
+        if i == scenario.refining_piece:
+            return sym[f"{i}a"] + sym[f"{i}b"]
+        return sym[str(i)]
+
+    eqs = []
+    if scenario.transitions:
+        for j in range(1, scenario.piece_count + 1):
+            inflow = sum((sym[src] for src, tgt in scenario.transitions.items()
+                          if tgt == j), Poly())
+            eqs.append(inflow - piece_measure(j))
+    eqs.append(sum(sym.values(), Poly()) - Poly.const(1))
+    ns, ms = shift_names(scenario.piece_count)
+    r_expr = sum((sym[src] * Poly.symbol(ns[scenario.source_piece(src) - 1])
+                  for src in sources), Poly())
+    s_expr = sum((sym[src] * Poly.symbol(ms[scenario.source_piece(src) - 1])
+                  for src in sources), Poly())
+    return MeasureSystem(tuple(f"a{src}" for src in sources),
+                         tuple(e for e in eqs if e), r_expr, s_expr)
+
+
+def _oracle_step_scenarios(n):
+    """(name, transitions) of the single cycle and both merge families at
+    step n >= 3, built one transition at a time."""
+    nu = n - 1
+    m = 2 * nu + 1
+    cycle = [("1a", 1), ("1b", 2)]
+    cycle += [(str(i), i + 1) for i in range(2, m)]
+    cycle.append((str(m), 1))
+    out = [("single cycle", dict(cycle))]
+    for k in range(1, nu):
+        tr = [("1a", 2), ("1b", 3)]
+        tr += [(str(2 * i), 2 * i + 2) for i in range(1, k)]
+        tr += [(str(2 * i + 1), 2 * i + 3) for i in range(1, k)]
+        tr += [(str(2 * k), 2 * k + 2), (str(2 * k + 1), 2 * k + 2)]
+        tr += [(str(i), i + 1) for i in range(2 * k + 2, m)]
+        tr.append((str(m), 1))
+        out.append((f"merge before the tail, k={k}", dict(tr)))
+    for k in range(1, nu + 1):
+        tr = [("1a", 2), ("1b", 3)]
+        tr += [(str(2 * i), 2 * i + 2) for i in range(1, k)]
+        tr += [(str(2 * i + 1), 2 * i + 3) for i in range(1, k)]
+        tr.append((str(2 * k), 1))
+        if 2 * k + 1 < m:
+            tr.append((str(2 * k + 1), 2 * k + 2))
+            tr += [(str(i), i + 1) for i in range(2 * k + 2, m)]
+        tr.append((str(m), 1))
+        out.append((f"short cycle back, k={k}", dict(tr)))
+    return out
+
+
+def test_step_scenarios_match_oracle():
+    for n in range(3, 31):
+        scenarios = enumerate_scenarios(n)
+        assert all((sc.piece_count, sc.refining_piece) == (2 * n - 1, 1)
+                   for sc in scenarios)
+        assert [(sc.name, sc.transitions) for sc in scenarios] \
+            == _oracle_step_scenarios(n), n
+
+
 # -- the Fraction elimination: the oracle for the integer one ------------
 
 def _oracle_solve(system):
@@ -416,6 +483,9 @@ def test_integer_elimination_matches_fraction_oracle():
     forced = 0
     for sc in cases:
         system = derive_constraints(sc)
+        assert system == _oracle_constraints(sc), sc.name
+        for p in (*system.equalities, system.r_expr, system.s_expr):
+            assert all(list(m) == sorted(m) for m in p.terms), sc.name
         assert solve_measures(system) == _oracle_solve(system), sc.name
         try:
             want = _oracle_relation(system)
