@@ -178,6 +178,10 @@ class PieceExchange:
     pieces: tuple[Piece, ...]
     level: int = 1
 
+    def __post_init__(self) -> None:
+        if len({p.label for p in self.pieces}) != len(self.pieces):
+            raise ExchangeError("repeated piece label")
+
     def piece(self, label: int) -> Piece:
         for p in self.pieces:
             if p.label == label:

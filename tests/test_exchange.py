@@ -1,6 +1,7 @@
 import functools
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -300,17 +301,47 @@ def test_leading_coefficient_recurrence(tower4):
     assert tower4[1].leading_coefficient() == -PHI * PHI * PHI
 
 
-def test_leading_coefficient_reads_every_piece(base):
-    # D2 alone gets another c2: piece 1 no longer speaks for the exchange
+def _mixed_c2(base):
+    """The base exchange with D2 alone moved to another c2."""
     d2 = base.piece(2)
     shifted = Region(tuple(
         replace(s, lower=QuadBound(s.lower.c2 + ONE, s.lower.c1, s.lower.c0),
                 upper=QuadBound(s.upper.c2 + ONE, s.upper.c1, s.upper.c0))
         for s in d2.region.strips))
-    E = replace(base, pieces=(base.piece(1), replace(d2, region=shifted)))
     assert shifted.leading_coefficient() == base.leading_coefficient() + ONE
+    return replace(base, pieces=(base.piece(1), replace(d2, region=shifted)))
+
+
+def test_leading_coefficient_reads_every_piece(base):
+    # D2 alone gets another c2: piece 1 no longer speaks for the exchange
     with pytest.raises(GeometryError):
-        E.leading_coefficient()
+        _mixed_c2(base).leading_coefficient()
+
+
+def test_compiling_needs_one_c2(base):
+    with pytest.raises(ExchangeError, match="no single c2"):
+        CompiledExchange(_mixed_c2(base))
+
+
+def test_jump_index_needs_the_exchange_c2(monkeypatch):
+    E1, E2 = exchange_tower(2)
+    assert E1.leading_coefficient() != E2.leading_coefficient()
+    stepper = CompiledExchange(E1)
+    monkeypatch.setattr(PieceExchange, "power", lambda self, L: E2)
+    p = sample_points(E1, 1, seed=7)[0]
+    n = fastorbit.JUMP_AFTER * len(stepper._index.strips) + 1
+    with pytest.raises(ExchangeError, match="c2 differs"):
+        stepper.code_orbit(p, n)
+    assert stepper._jumps is None
+
+
+def test_repeated_piece_labels_are_refused(base):
+    d1, d2 = base.pieces
+    for pieces in ((d1, replace(d2, label=1)), (d1, d1)):
+        with pytest.raises(ExchangeError, match="repeated piece label"):
+            PieceExchange(base.base, pieces)
+    with pytest.raises(ExchangeError, match="repeated piece label"):
+        replace(base, pieces=(d1, replace(d2, label=1)))
 
 
 def test_tower_levels_and_strip_growth(tower4):
@@ -665,6 +696,16 @@ def test_orbit_in_domain_flags_outside(base):
     assert not ce.orbit_in_domain(Point(QPhi(10), QPhi(10)), 5)
 
 
+def test_negative_orbit_length_is_refused(base):
+    p = sample_points(base, 1, seed=3)[0]
+    shim = fastorbit.BaseExchangeOrbit()
+    for call in (base.code_orbit, base.compiled.code_orbit,
+                 base.compiled.orbit_in_domain, shim.run, shim.code_orbit):
+        with pytest.raises(ValueError, match="n must be >= 0") as err:
+            call(p, -1)
+        assert type(err.value) is ValueError
+
+
 def test_code_orbit_entry_point(base):
     p = sample_points(base, 1, seed=13)[0]
     w = base.code_orbit(p, 64)
@@ -693,3 +734,184 @@ def test_code_orbit_compiles_once(monkeypatch):
     assert compiles == [E]
     assert E.compiled is E.compiled
     assert compiles == [E]
+
+
+# -- the locate kernel against the exact kernel it replaced --------------
+
+def _exact_table(index, d):
+    """The former tables at scale d: gaps of rows with the quadratic
+    lower bound at scale d**3, the endpoints' pairs, and d**2."""
+    pair = fastorbit._pair
+    d2, d3 = d * d, d * d * d
+    rows = []
+    for piece, s in index.strips:
+        c2 = pair(s.lower.c2, d)
+        c1 = pair(s.lower.c1, d2)
+        c0 = pair(s.lower.c0, d3)
+        u1 = pair(s.upper.c1, d2)
+        u0 = pair(s.upper.c0, d3)
+        word = piece.label if isinstance(piece.label, tuple) else \
+            (piece.label,)
+        rows.append((*c2, *c1, *c0, u1[0] - c1[0], u1[1] - c1[1],
+                     u0[0] - c0[0], u0[1] - c0[1], word))
+    gaps = tuple(tuple(rows[j] for j in gap) for gap in index._gaps)
+    ends = [pair(x, d) for x in index.xs]
+    return gaps, tuple(a for a, _ in ends), tuple(b for _, b in ends), d2
+
+
+def _exact_locate(gaps, ends_a, ends_b, d2, xa, xb, ya, yb):
+    """The former kernel: an exact bisection for the gap of x, then the
+    sign of (bound(x) - y) * d**3 with the quadratic term per strip."""
+    lo, hi = 0, len(ends_a)
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        s = sgn_pair(xa - ends_a[mid], xb - ends_b[mid])
+        if s > 0:
+            lo = mid + 1
+        elif s < 0:
+            hi = mid
+        else:
+            return None
+    x2a = xa * xa + xb * xb
+    x2b = 2 * xa * xb + xb * xb
+    yd2a = ya * d2
+    yd2b = yb * d2
+    xab = xa + xb
+    for c2a, c2b, c1a, c1b, c0a, c0b, e1a, e1b, e0a, e0b, move in gaps[lo]:
+        va = c2a * x2a + c2b * x2b + c1a * xa + c1b * xb + c0a - yd2a
+        vb = (c2a * x2b + c2b * (x2a + x2b) + c1a * xb + c1b * xab
+              + c0b - yd2b)
+        s = sgn_pair(va, vb)
+        if s > 0:
+            continue
+        if s == 0:
+            return None
+        s = sgn_pair(va + e1a * xa + e1b * xb + e0a,
+                     vb + e1a * xb + e1b * xab + e0b)
+        if s > 0:
+            return move
+        if s == 0:
+            return None
+    return None
+
+
+class _Kernels:
+    """The new and the former kernel over one index, at the scales the
+    points ask for."""
+
+    def __init__(self, index):
+        self.index = index
+        self._exact = {}
+
+    def scale(self, *values):
+        return lcm(self.index.base_den, *(v.scaled()[2] for v in values))
+
+    def both(self, x, y, d=None):
+        """(new, former) symbols at (x, y); None where either leaves the
+        point open.  z = y - c2*x**2 is formed here in Q(phi)."""
+        d = d or self.scale(x, y)
+        if d not in self._exact:
+            self._exact[d] = _exact_table(self.index, d)
+        pair = fastorbit._pair
+        xa, xb = pair(x, d)
+        ya, yb = pair(y, d)
+        za, zb = pair(y - self.index.c2 * x * x, d * d * d)
+        key = xa * fastorbit._ONE + xb * fastorbit._PHI_ONE
+        new = fastorbit._locate(self.index.table(d), xa, xb, key, za, zb)
+        return (new and new[0],
+                _exact_locate(*self._exact[d], xa, xb, ya, yb))
+
+
+@functools.cache
+def _kernel_cases():
+    tower = exchange_tower(8)
+    return {
+        "level 1": (tower[0], fastorbit._Index(tower[0])),
+        "level 4": (tower[3], fastorbit._Index(tower[3])),
+        "level 8": (tower[7], fastorbit._Index(tower[7])),
+        "power(8)": (tower[0], fastorbit._Index(
+            tower[0].power(fastorbit.JUMP_LENGTH))),
+        "translation": (lambda E: (E, fastorbit._Index(E)))(
+            build_translation_exchange(phi_power(-2), phi_power(-3))),
+    }
+
+
+def _near_ends(index):
+    """Points at every endpoint x, at x +- phi**-k for k = 20..80, and at
+    the dyadic rationals just below and above x (B = 0, so only the
+    endpoints' key errors can misplace them): in the middle of and on
+    the bounds of every strip whose closure meets x."""
+    strips = [s for _, s in index.strips]
+    for e in index.xs:
+        xs = [e]
+        for k in range(20, 81):
+            xs += e + phi_power(-k), e - phi_power(-k)
+        for m in range(50, 81, 3):
+            lo = Fraction(e.approx(m + 8)) * 2**m // 1
+            xs += QPhi(Fraction(lo, 2**m)), QPhi(Fraction(lo + 1, 2**m))
+        for s in strips:
+            if s.x_lo <= e <= s.x_hi:
+                for x in xs:
+                    lo, hi = s.lower(x), s.upper(x)
+                    yield x, (lo + hi) * HALF
+                    if x is e:
+                        yield x, lo
+                        yield x, hi
+
+
+@pytest.mark.parametrize("name", ["level 1", "level 4", "level 8",
+                                  "power(8)", "translation"])
+def test_locate_matches_the_exact_kernel(name):
+    E, index = _kernel_cases()[name]
+    kernels = _Kernels(index)
+    strips = [s for _, s in index.strips]
+    pts = [(p.x, p.y) for p in sample_points(E, 40, seed=29)]
+    for s in strips:                        # inside and on the bounds
+        for t in (Fraction(1, 7), Fraction(1, 2), Fraction(5, 6)):
+            x = s.x_lo + (s.x_hi - s.x_lo) * QPhi(t)
+            lo, hi = s.lower(x), s.upper(x)
+            pts += (x, lo), (x, hi), (x, lo + (hi - lo) * QPhi(t))
+    pts += _near_ends(index)
+    for x, y in pts:
+        new, old = kernels.both(x, y)
+        assert new == old, (x, y)
+
+
+def _exact_orbit(E, kernels, p, n, every=10):
+    """The word of n single steps of E in the former state (x*d, y*d),
+    stepped by the former kernel with `PieceExchange.locate` where it
+    leaves a point open; `kernels` are compared at every `every`-th
+    point on the way, where |B| of x*d grows with the step count."""
+    pair = fastorbit._pair
+    own = fastorbit._Index(E)
+    d = lcm(own.base_den, kernels.scale(p.x, p.y))
+    table = _exact_table(own, d)
+    moves = {label: (*pair(u, d), *pair(q0, d), k)
+             for label, (u, q0, k) in own.moves.items()}
+    xa, xb = pair(p.x, d)
+    ya, yb = pair(p.y, d)
+    word = []
+    for i in range(n):
+        x, y = QPhi.from_scaled(xa, xb, d), QPhi.from_scaled(ya, yb, d)
+        if i % every == 0:
+            new, old = kernels.both(x, y, d)
+            assert new == old, (i, x, y)
+        label = _exact_locate(*table, xa, xb, ya, yb)
+        label = label[0] if label else E.locate(Point(x, y))
+        ua, ub, qa, qb, k = moves[label]
+        ya += k * xa + qa
+        yb += k * xb + qb
+        xa += ua
+        xb += ub
+        word.append(label)
+    return word, abs(xb) // d
+
+
+@pytest.mark.parametrize("name", ["level 1", "level 4", "level 8",
+                                  "power(8)", "translation"])
+def test_locate_matches_the_exact_kernel_after_1e5_steps(name):
+    E, index = _kernel_cases()[name]
+    p = sample_points(E, 2, seed=31)[1]
+    word, drift = _exact_orbit(E, _Kernels(index), p, 10**5)
+    assert drift > 10**4
+    assert CompiledExchange(E).code_orbit(p, 10**5) == tuple(word)
