@@ -15,7 +15,7 @@ the exact pair.  The tests check it against a loop with every test exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, lcm
+from math import floor, lcm
 
 from .field import PHI, QPhi, sgn_pair
 
@@ -70,9 +70,7 @@ def _scaled_start(fa: int, fb: int, d: int, N: int) -> tuple[int, int, int]:
     """
     k = 2 * (N + 2).bit_length() + 40
     one = 1 << k
-    # one/phi**2 = 2*one - one*phi is irrational, so its floor is
-    # 2*one - floor(one*phi) - 1, with floor(one*phi) from isqrt(5*one**2)
-    step = 2 * one - ((one + isqrt(5 << 2 * k)) >> 1) - 1
+    step = floor((2 - PHI) * one)
     g = QPhi.from_scaled(fa * one, fb * one, d).floor_frac()[0] - one // 2
     return one, step, g
 

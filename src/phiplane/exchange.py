@@ -61,6 +61,14 @@ class PlaneMap:
     s: int
     q: QuadBound
 
+    def shear(self) -> tuple[QPhi, int, QPhi]:
+        """(u, k, c0) of the map as (x, y) -> (x + u, y + k*x + c0), k an
+        integer; any other map raises `ExchangeError`."""
+        k, kb, kd = self.q.c1.scaled()
+        if self.a != ONE or self.s != 1 or self.q.c2 or (kb, kd) != (0, 1):
+            raise ExchangeError("the map is not an integer-slope shear")
+        return self.u, k, self.q.c0
+
     def apply(self, p: Point) -> Point:
         return Point(self.a * p.x + self.u,
                      (p.y if self.s > 0 else -p.y) + self.q(p.x))
@@ -224,30 +232,23 @@ class PieceExchange:
     def power(self, L: int) -> "PieceExchange":
         """The exchange of T^L: one piece per positive-area depth-L cell,
         labelled by the cell's word w, whose branch is
-        branch(w_L) @ ... @ branch(w_1) = T^L - (N, M)."""
+        branch(w_L) @ ... @ branch(w_1) = T^L - (N, M).  T is a shear of
+        slope k, so T(p - (n, m)) = T(p) - (n, m + k*n) gives (N, M)."""
         from .refine import refinement_chain
         if L < 1:
             raise ExchangeError("a power needs L >= 1")
+        k = self.base.shear()[1]
         base = self.base
         for _ in range(L - 1):
             base = self.base @ base
-        # the branch of every word prefix, each from the one before
-        maps = {(p.label,): self.branch(p.label) for p in self.pieces}
+        shifts = {p.label: p.shift for p in self.pieces}
         pieces = []
         for cell in refinement_chain(self, L)[-1]:
-            w = cell.word
-            for j in range(2, L + 1):
-                if w[:j] not in maps:
-                    maps[w[:j]] = self.branch(w[j - 1]) @ maps[w[:j - 1]]
-            br = maps[w]
-            # translation(-n, -m) @ base differs from base in u and c0 only
-            (n, nb, nd), (m, mb, md) = (base.u - br.u).scaled(), \
-                (base.q.c0 - br.q.c0).scaled()
-            if (br.a, br.s, br.q.c2, br.q.c1, nb, nd, mb, md) != \
-                    (base.a, base.s, base.q.c2, base.q.c1, 0, 1, 0, 1):
-                raise ExchangeError(f"word {w}: branch is not T^{L} minus"
-                                    " an integer shift")
-            pieces.append(Piece(w, cell.region, (n, m)))
+            n = m = 0
+            for label in cell.word:
+                ns, ms = shifts[label]
+                n, m = n + ns, m + k * n + ms
+            pieces.append(Piece(cell.word, cell.region, (n, m)))
         return PieceExchange(base, tuple(pieces), self.level)
 
     def leading_coefficient(self) -> QPhi:

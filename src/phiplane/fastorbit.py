@@ -7,25 +7,27 @@ no step ever depends on floating point.
 
 `CompiledExchange` finds the x-gap of a point by one `bisect` over the
 integer keys A*2**64 + B*floor(phi*2**64) of the sorted strip endpoints;
-a key is off by less than |B|, and a gap the keys leave open goes to an
-exact `sgn_pair` bisection.  The point carries z = y - c2*x**2, c2 the
-exchange's one leading coefficient, so each y test against the strips
-over the gap is linear; a point on an endpoint or a bound goes to
-`PieceExchange.locate`.  Long runs go JUMP_LENGTH symbols at a time: the
-same search over the depth-L coding cells of `PieceExchange.power`
-gives a cell's whole word and its branch, an integer-slope shear like
-every single branch.  Where a macro step is left open, one single step
+a key is off by less than |B|, so the gap is certain when both
+neighbouring keys are farther off than the two errors can reach.  The
+point carries z = y - c2*x**2, c2 the exchange's one leading
+coefficient, so each y test against the strips over the gap is linear.
+A point whose gap the keys leave open, or that lies on a bound, goes to
+`PieceExchange.locate`, the one exact fallback.  Every branch is the
+base's integer-slope shear, `PlaneMap.shear`, less the piece's integer
+shift.  Long runs go JUMP_LENGTH symbols at a time: the same search over
+the depth-L coding cells of `PieceExchange.power` gives a cell's whole
+word and its branch.  Where a macro step is left open, one single step
 is taken and the macro step is tried again from the next point.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from math import isqrt, lcm
+from math import floor, lcm
 
 from .exchange import (ExchangeError, PieceExchange, Point,
                        build_base_exchange)
-from .field import QPhi, over_one_denominator, sgn_pair
+from .field import PHI, QPhi, over_one_denominator, sgn_pair
 from .geometry import GeometryError
 from .words import Word
 
@@ -53,7 +55,7 @@ def _mul(a: int, b: int, c: int, e: int) -> tuple[int, int]:
 
 # key(A, B) = A*_ONE + B*_PHI_ONE; (A + B*phi)*_ONE - key = B*{phi*_ONE}
 _ONE = 1 << 64
-_PHI_ONE = (_ONE + isqrt(5 << 128)) >> 1    # floor(phi*_ONE), exactly
+_PHI_ONE = floor(PHI * _ONE)
 
 
 class _Index:
@@ -64,6 +66,7 @@ class _Index:
     gap lists the strips whose open x-range covers it in piece order and
     then strip order, so earlier pieces win overlaps as in
     `PieceExchange.locate`.  All bounds share one leading coefficient c2.
+    A piece's move is the base's shear less its shift: (u - n, c0 - m, k).
     """
 
     def __init__(self, exchange: PieceExchange) -> None:
@@ -71,17 +74,13 @@ class _Index:
             self.c2 = exchange.leading_coefficient()
         except GeometryError as e:
             raise ExchangeError(f"no single c2 to compile: {e}") from None
-        values = [self.c2]
+        u, k, c0 = exchange.base.shear()
+        values = [self.c2, u, c0]
         self.strips = []
         self.moves = {}
         for piece in exchange.pieces:
-            br = exchange.branch(piece.label)
-            k, kb, kd = br.q.c1.scaled()
-            if br.a != 1 or br.s != 1 or br.q.c2 or (kb, kd) != (0, 1):
-                raise ExchangeError(f"piece {piece.label}: branch is not an"
-                                    " integer-slope shear")
-            self.moves[piece.label] = (br.u, br.q.c0, k)
-            values += br.u, br.q.c0
+            n, m = piece.shift
+            self.moves[piece.label] = (u - n, c0 - m, k)
             for s in piece.region.strips:
                 values += s.lower.c1, s.lower.c0, s.upper.c1, s.upper.c0
                 self.strips.append((piece, s))
@@ -97,8 +96,8 @@ class _Index:
 
     def table(self, d: int) -> tuple:
         """The tables at scale d, a multiple of `base_den`: gaps of strip
-        rows, the endpoints' keys and integer pairs, the largest |B| of
-        the pairs, and the move of each label: the symbols it codes (a
+        rows, the endpoints' keys, the largest |B| of the endpoints'
+        integer pairs, and the move of each label: the symbols it codes (a
         `PieceExchange.power` piece's word, or a 1-tuple), U = u*d, U's
         key, and G, H with which Z = y*d**3 - c2*d*X**2 moves by G*X + H."""
         cached = self._tables.get(d)
@@ -123,34 +122,24 @@ class _Index:
                          *_pair(hi.c1 - lo.c1, d2), *_pair(hi.c0 - lo.c0, d3),
                          moves[piece.label]))
         gaps = tuple(tuple(rows[j] for j in gap) for gap in self._gaps)
-        ends_a, ends_b = zip(*(_pair(x, d) for x in self.xs))
-        keys = [a * _ONE + b * _PHI_ONE for a, b in zip(ends_a, ends_b)]
-        table = (gaps, keys, ends_a, ends_b, max(map(abs, ends_b)), moves)
+        ends = [_pair(x, d) for x in self.xs]
+        keys = [a * _ONE + b * _PHI_ONE for a, b in ends]
+        table = (gaps, keys, max(abs(b) for _, b in ends), moves)
         self._tables[d] = table
         return table
 
 
 def _locate(table, xa, xb, kx, za, zb):
     """The move of the strip holding (x, y) strictly inside, or None when
-    any bisection or y sign test is zero or no strip holds it; X = x*d is
-    (xa, xb) with key kx, Z = y*d**3 - c2*d*X**2 is (za, zb)."""
-    gaps, keys, ends_a, ends_b, eb, _ = table
-    # the gap of x: certain when both neighbouring keys are more than
-    # slack off, else an exact bisection over the endpoints
+    an endpoint key within slack = |xb| + eb of kx leaves the gap open, a
+    y sign test is zero or no strip holds it; X = x*d is (xa, xb) with
+    key kx, Z = y*d**3 - c2*d*X**2 is (za, zb)."""
+    gaps, keys, eb, _ = table
     lo = bisect_right(keys, kx)
     slack = (xb if xb >= 0 else -xb) + eb
     if (lo and kx - keys[lo - 1] <= slack) or \
             (lo < len(keys) and keys[lo] - kx <= slack):
-        lo, hi = 0, len(ends_a)
-        while lo < hi:
-            mid = (lo + hi) >> 1
-            s = sgn_pair(xa - ends_a[mid], xb - ends_b[mid])
-            if s > 0:
-                lo = mid + 1
-            elif s < 0:
-                hi = mid
-            else:
-                return None
+        return None
     xab = xa + xb
     for c1a, c1b, c0a, c0b, e1a, e1b, e0a, e0b, move in gaps[lo]:
         # (lower(x) - y) * d**3 = c1*X + c0 - Z, then (upper(x) - y) * d**3
@@ -177,11 +166,11 @@ class CompiledExchange:
     an index of `exchange.power(JUMP_LENGTH)`, which must share its c2.
 
     Both go through `_locate`, which decides only points strictly inside
-    a strip.  A single step it leaves open takes its label from
-    `PieceExchange.locate`, which decides the boundary and raises as
-    `PieceExchange.step` does.  A macro step it leaves open, or one with
-    fewer than JUMP_LENGTH symbols left, becomes one single step, and
-    the next point tries a macro step again.  A point strictly inside a
+    a strip and in a gap the keys make certain.  A single step it leaves
+    open takes its label from `PieceExchange.locate`, which decides the
+    boundary and raises as `PieceExchange.step` does.  A macro step it
+    leaves open, or one with fewer than JUMP_LENGTH symbols left, becomes
+    one single step, and the next point tries a macro step again.  A point strictly inside a
     cell strip has the cell's word wherever no two pieces share a
     vertical segment (none do in the exchanges the package builds), so
     any mix of macro and single steps codes the same word.

@@ -152,11 +152,6 @@ class IntegerRelation:
         return bool(self.coeff_r) or bool(self.coeff_s)
 
 
-def shift_names(piece_count: int) -> tuple[list[str], list[str]]:
-    return ([f"n{i}" for i in range(1, piece_count + 1)],
-            [f"m{i}" for i in range(1, piece_count + 1)])
-
-
 def derive_constraints(scenario: Scenario) -> MeasureSystem:
     """Measure equalities forced by the transitions.
 
@@ -212,22 +207,6 @@ def _eliminate(system: MeasureSystem
     if any(row[-1] for row in rows[len(pivots):]):
         raise ScenarioError("inconsistent measure equations")
     return rows, pivots, [c for c in range(len(names)) if c not in pivots]
-
-
-def solve_measures(system: MeasureSystem) -> dict[str, Poly]:
-    """Every measure as an affine form in the free ones, exactly.
-
-    The columns are in `system.variables` order; the free measures are
-    the non-pivot columns, and each of them maps to itself.
-    """
-    names = system.variables
-    rows, pivots, free = _eliminate(system)
-    sol = {names[c]: Poly.symbol(names[c]) for c in free}
-    for row, c in zip(rows, pivots):
-        sol[names[c]] = Poly({**{(names[f],): Fraction(-row[f], row[c])
-                                 for f in free},
-                              (): Fraction(row[-1], row[c])})
-    return {v: sol[v] for v in names}
 
 
 def detect_dependence(system: MeasureSystem) -> IntegerRelation:

@@ -360,3 +360,22 @@ def test_cli_import_leaves_sympy_out():
     out = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_cli_base_loads_only_its_modules():
+    # `phiplane base` is the timed cold start, and each module it loads
+    # is compiled there when no bytecode is written
+    src = os.path.dirname(os.path.dirname(phiplane.__file__))
+    probe = ("import contextlib, io, sys\n"
+             "from phiplane.cli import run\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    assert run(['base']) == 0\n"
+             "print(*sorted(m for m in sys.modules\n"
+             "              if m.split('.')[0] == 'phiplane'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["phiplane"] + [
+        "phiplane." + name for name in ("birkhoff", "cli", "exchange",
+                                        "field", "geometry", "refine",
+                                        "render", "words")]

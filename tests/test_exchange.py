@@ -47,6 +47,14 @@ def test_T_phi_is_a_shear_plus_translation():
                              QuadBound(ZERO, ONE, T_PHI_DRIFT))
 
 
+def test_shear_reads_integer_slope_maps():
+    assert T_PHI.shear() == (INV_PHI2, 1, T_PHI_DRIFT)
+    assert translation(INV_PHI2, HALF).shear() == (INV_PHI2, 0, HALF)
+    # y + x + c0 + (x + u) + c0
+    assert (T_PHI @ T_PHI).shear() == \
+        (2 * INV_PHI2, 2, 2 * T_PHI_DRIFT + INV_PHI2)
+
+
 @pytest.mark.parametrize("base_map", [
     T_PHI, translation(phi_power(-2), phi_power(-3))],
     ids=["T_phi", "translation"])
@@ -649,22 +657,30 @@ def test_jump_table_on_every_hidden_line(name):
             _outcome(_slow_code, E, p, n), p
 
 
-def test_power_cells_carry_words_and_composed_branches(base):
-    P = base.power(3)
-    assert P.base == base.base @ base.base @ base.base
-    assert sum((p.region.area() for p in P.pieces), ZERO) == \
-        sum((p.region.area() for p in base.pieces), ZERO)
-    for piece in P.pieces:
-        w = piece.label
-        assert len(w) == 3
-        assert P.branch(w) == base.branch(w[2]) @ base.branch(w[1]) \
-            @ base.branch(w[0])
-        p = strip_midpoint(piece.region.strips[0])
-        assert P.step(p) == (w, P.branch(w).apply(p))
-        assert _slow_code(base, p, 3) == w
-    half_slope = PlaneMap(ONE, INV_PHI2, 1, QuadBound(ZERO, HALF, ZERO))
-    with pytest.raises(ExchangeError, match="not T\\^2 minus an integer"):
-        replace(base, base=half_slope).power(2)
+def test_power_cells_carry_words_and_composed_branches():
+    for name in ("level 1", "level 4", "translation"):
+        E = _kernel_cases()[name][0]
+        for L in (1, 3, 8):
+            P = E.power(L)
+            T_L = E.base
+            for _ in range(L - 1):
+                T_L = E.base @ T_L
+            assert P.base == T_L
+            assert sum((p.region.area() for p in P.pieces), ZERO) == \
+                sum((p.region.area() for p in E.pieces), ZERO)
+            for piece in P.pieces:
+                w = piece.label
+                assert len(w) == L
+                composed = E.branch(w[0])
+                for label in w[1:]:
+                    composed = E.branch(label) @ composed
+                assert P.branch(w) == composed, (name, w)
+                p = strip_midpoint(piece.region.strips[0])
+                assert P.step(p) == (w, P.branch(w).apply(p))
+                assert _slow_code(E, p, L) == w
+        half_slope = PlaneMap(ONE, INV_PHI2, 1, QuadBound(ZERO, HALF, ZERO))
+        with pytest.raises(ExchangeError, match="integer-slope shear"):
+            replace(E, base=half_slope).power(2)
 
 
 def test_jump_table_is_built_only_for_long_runs():
@@ -686,6 +702,8 @@ def test_jump_table_is_built_only_for_long_runs():
     PlaneMap(ONE, ZERO, -1, QuadBound(ZERO, ZERO, ZERO))],
     ids=["psi", "half slope", "quadratic", "y flip"])
 def test_compiled_rejects_non_shear_branch(base, bad):
+    with pytest.raises(ExchangeError, match="integer-slope shear"):
+        bad.shear()
     with pytest.raises(ExchangeError, match="integer-slope shear"):
         CompiledExchange(replace(base, base=bad))
 
@@ -797,10 +815,12 @@ def _exact_locate(gaps, ends_a, ends_b, d2, xa, xb, ya, yb):
 
 class _Kernels:
     """The new and the former kernel over one index, at the scales the
-    points ask for."""
+    points ask for, and the single-step decision each leads to with
+    `oracle.locate` where it leaves a point open."""
 
-    def __init__(self, index):
+    def __init__(self, index, oracle):
         self.index = index
+        self.oracle = oracle
         self._exact = {}
 
     def scale(self, *values):
@@ -821,17 +841,41 @@ class _Kernels:
         return (new and new[0],
                 _exact_locate(*self._exact[d], xa, xb, ya, yb))
 
+    def decision(self, x, y, symbols):
+        """A kernel's symbols, or else `oracle.locate`'s label as a
+        1-tuple (a power's label is its word) or its error type."""
+        if symbols is not None:
+            return symbols
+        try:
+            label = self.oracle.locate(Point(x, y))
+        except ExchangeError as e:
+            return type(e)
+        return label if isinstance(label, tuple) else (label,)
+
+    def check(self, x, y, d=None):
+        """Assert that a move of the new kernel is the former kernel's
+        and that both lead to the same single step."""
+        new, old = self.both(x, y, d)
+        assert new is None or new == old, (x, y)
+        assert self.decision(x, y, new) == self.decision(x, y, old), (x, y)
+
 
 @functools.cache
 def _kernel_cases():
+    """name -> (exchange, index, oracle): the exchange the points come
+    from, the kernel's index, and the exchange whose `locate` decides
+    what the kernel leaves open."""
     tower = exchange_tower(8)
+    power = tower[0].power(fastorbit.JUMP_LENGTH)
+
+    def own(E):
+        return E, fastorbit._Index(E), E
     return {
-        "level 1": (tower[0], fastorbit._Index(tower[0])),
-        "level 4": (tower[3], fastorbit._Index(tower[3])),
-        "level 8": (tower[7], fastorbit._Index(tower[7])),
-        "power(8)": (tower[0], fastorbit._Index(
-            tower[0].power(fastorbit.JUMP_LENGTH))),
-        "translation": (lambda E: (E, fastorbit._Index(E)))(
+        "level 1": own(tower[0]),
+        "level 4": own(tower[3]),
+        "level 8": own(tower[7]),
+        "power(8)": (tower[0], fastorbit._Index(power), power),
+        "translation": own(
             build_translation_exchange(phi_power(-2), phi_power(-3))),
     }
 
@@ -862,8 +906,8 @@ def _near_ends(index):
 @pytest.mark.parametrize("name", ["level 1", "level 4", "level 8",
                                   "power(8)", "translation"])
 def test_locate_matches_the_exact_kernel(name):
-    E, index = _kernel_cases()[name]
-    kernels = _Kernels(index)
+    E, index, oracle = _kernel_cases()[name]
+    kernels = _Kernels(index, oracle)
     strips = [s for _, s in index.strips]
     pts = [(p.x, p.y) for p in sample_points(E, 40, seed=29)]
     for s in strips:                        # inside and on the bounds
@@ -873,8 +917,7 @@ def test_locate_matches_the_exact_kernel(name):
             pts += (x, lo), (x, hi), (x, lo + (hi - lo) * QPhi(t))
     pts += _near_ends(index)
     for x, y in pts:
-        new, old = kernels.both(x, y)
-        assert new == old, (x, y)
+        kernels.check(x, y)
 
 
 def _exact_orbit(E, kernels, p, n, every=10):
@@ -894,8 +937,7 @@ def _exact_orbit(E, kernels, p, n, every=10):
     for i in range(n):
         x, y = QPhi.from_scaled(xa, xb, d), QPhi.from_scaled(ya, yb, d)
         if i % every == 0:
-            new, old = kernels.both(x, y, d)
-            assert new == old, (i, x, y)
+            kernels.check(x, y, d)
         label = _exact_locate(*table, xa, xb, ya, yb)
         label = label[0] if label else E.locate(Point(x, y))
         ua, ub, qa, qb, k = moves[label]
@@ -910,8 +952,8 @@ def _exact_orbit(E, kernels, p, n, every=10):
 @pytest.mark.parametrize("name", ["level 1", "level 4", "level 8",
                                   "power(8)", "translation"])
 def test_locate_matches_the_exact_kernel_after_1e5_steps(name):
-    E, index = _kernel_cases()[name]
+    E, index, oracle = _kernel_cases()[name]
     p = sample_points(E, 2, seed=31)[1]
-    word, drift = _exact_orbit(E, _Kernels(index), p, 10**5)
+    word, drift = _exact_orbit(E, _Kernels(index, oracle), p, 10**5)
     assert drift > 10**4
     assert CompiledExchange(E).code_orbit(p, 10**5) == tuple(word)
